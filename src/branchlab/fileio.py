@@ -59,9 +59,8 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_tree_csv(path, tree: RecursiveTree) -> None:
     """One row per non-root vertex: vertex,parent."""
-    rows = [("vertex", "parent")]
-    rows.extend((i, int(tree.parent[i])) for i in range(1, tree.parent.shape[0]))
-    atomic_write_text(path, _csv_text(rows))
+    rows = [f"{i},{p}\n" for i, p in enumerate(tree.parent[1:].tolist(), start=1)]
+    atomic_write_text(path, "vertex,parent\n" + "".join(rows))
 
 
 def write_profile_csv(path, profile: ProfileVector) -> None:

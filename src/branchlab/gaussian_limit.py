@@ -48,8 +48,8 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
     """
     if k < 1 or l < 1:
         raise ValueError("orders must be >= 1")
-    if s < 0 or u < 0:
-        raise ValueError("times must be >= 0")
+    if not (0 <= s < math.inf and 0 <= u < math.inf):
+        raise ValueError("times must be finite and >= 0")
     if u < s:
         k, l, s, u = l, k, u, s
     if s == 0:
@@ -64,8 +64,8 @@ def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
     """Quadrature oracle for cov_rkl from the defining integral."""
     if k < 1 or l < 1:
         raise ValueError("orders must be >= 1")
-    if s < 0 or u < 0:
-        raise ValueError("times must be >= 0")
+    if not (0 <= s < math.inf and 0 <= u < math.inf):
+        raise ValueError("times must be finite and >= 0")
     top = min(s, u)
     if top == 0:
         return 0.0

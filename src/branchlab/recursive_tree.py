@@ -20,6 +20,8 @@ MAX_TREE_VERTICES = 2**27
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences
 
+_DRAW_BLOCK = 1 << 20  # parent draws per block in generate_rrt
+
 
 @dataclass(frozen=True)
 class RecursiveTree:
@@ -80,28 +82,36 @@ class ProfilePath:
 
 
 def depths_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex, root = 0.
+    """Depth of every vertex, root = 0, by pointer jumping (list ranking).
 
-    Works level by level with boolean gathers; the number of passes equals
-    the tree height (logarithmic for recursive trees).
+    Each vertex keeps an ancestor pointer (the root points at itself) and
+    the number of edges up to that ancestor. Every pass adds the ancestor's
+    count and jumps to the ancestor's ancestor, so the pointers double their
+    reach and about log2(height) + 1 passes suffice. The work arrays are
+    int32, which holds any index below MAX_TREE_VERTICES. A parent array
+    that does not lead every vertex to vertex 0 raises ValueError.
     """
     V = parent.shape[0]
-    depth = np.zeros(V, dtype=np.int64)
-    if V <= 1:
-        return depth
-    p = parent[1:]
-    mask = np.zeros(V, dtype=bool)
-    mask[0] = True
-    level = 0
-    while True:
-        child = mask[p]
-        if not child.any():
-            break
-        level += 1
-        mask = np.zeros(V, dtype=bool)
-        mask[1:][child] = True
-        depth[1:][child] = level
-    return depth
+    if V > MAX_TREE_VERTICES:
+        raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
+    if V > 1 and (parent[1:].min() < 0 or parent[1:].max() >= V):
+        raise ValueError("parent entries of vertices 1..V-1 must lie in 0..V-1")
+    anc = parent.astype(np.int32)
+    depth = np.ones(V, dtype=np.int32)
+    if V:
+        anc[0] = 0
+        depth[0] = 0
+    # the dels keep at most three int32 arrays alive (peak ~1.5x parent.nbytes);
+    # np.take(..., out=) would copy the whole index array to intp instead
+    for _ in range(V.bit_length() + 1):
+        up = depth[anc]
+        if not up.any():
+            del anc, up
+            return depth.astype(np.int64)
+        depth += up
+        del up
+        anc = anc[anc]
+    raise ValueError("parent array does not lead every vertex to the root")
 
 
 def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
@@ -112,8 +122,10 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
         raise CapExceededError(f"tree of {n_plus_1} vertices exceeds the memory cap")
     parent = np.empty(n_plus_1, dtype=np.int64)
     parent[0] = -1
-    if n_plus_1 > 1:
-        parent[1:] = rng.gen.integers(0, np.arange(1, n_plus_1))
+    # blockwise draws consume the stream exactly as one full-length draw
+    for lo in range(1, n_plus_1, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, n_plus_1)
+        parent[lo:hi] = rng.gen.integers(0, np.arange(lo, hi))
     return RecursiveTree(parent)
 
 
@@ -182,6 +194,8 @@ def grow_and_record(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid entries must be finite")
     if np.any(t_grid < 0):
         raise ValueError("t_grid entries must be >= 0")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
@@ -191,6 +205,9 @@ def grow_and_record(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
 
+    t_last = float(t_grid[-1])
+    if t_last * math.log(n_base) > math.log(max_vertices) + 1.0:  # before exp can overflow
+        raise CapExceededError(f"final tree size {n_base}**{t_last} exceeds the cap {max_vertices}")
     sizes = np.array([_power_size(n_base, t) for t in t_grid], dtype=np.int64)
     total = int(sizes[-1])
     if total > max_vertices:

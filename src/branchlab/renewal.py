@@ -115,13 +115,14 @@ def renewal_function_grid(
     max_cells: int = MAX_GRID_CELLS,
 ) -> RenewalTable:
     """Solve for U on the grid 0, h, ..., ceil(t_max/h)*h."""
-    if h <= 0:
-        raise ValueError("grid step h must be positive")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    n_cells = int(math.ceil(t_max / h - 1e-9))
-    if n_cells > max_cells:
-        raise ValueError(f"grid of {n_cells} cells exceeds the cap {max_cells}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("grid step h must be positive and finite")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError("t_max must be positive and finite")
+    cells = t_max / h - 1e-9  # may overflow to inf for a tiny h
+    if cells > max_cells:
+        raise ValueError(f"grid of {t_max / h:.6g} cells exceeds the cap {max_cells}")
+    n_cells = max(1, int(math.ceil(cells)))
     if dist.lattice_span > 0:
         ratio = dist.lattice_span / h
         if abs(ratio - round(ratio)) > 1e-9:
@@ -133,13 +134,15 @@ def renewal_function_grid(
 def _convolve_next(prev: np.ndarray, dU: np.ndarray, lattice: bool) -> np.ndarray:
     n = dU.shape[0]
     kernel = prev[:n] if lattice else 0.5 * (prev[:-1] + prev[1:])
-    if n <= _DIRECT_CONV_LIMIT:
-        conv = np.convolve(kernel, dU)
-    else:
-        conv = fftconvolve(kernel, dU)
     out = np.empty(n + 1)
     out[0] = 0.0
-    out[1:] = conv[:n]
+    if n <= _DIRECT_CONV_LIMIT:
+        out[1:] = np.convolve(kernel, dU)[:n]
+    else:
+        # FFT round-off can dip a row by ~1e-15 of its size; U_k is
+        # nondecreasing, so the running maximum removes only round-off
+        out[1:] = fftconvolve(kernel, dU)[:n]
+        np.maximum.accumulate(out, out=out)
     return out
 
 

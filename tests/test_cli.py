@@ -160,6 +160,54 @@ def test_renewal_table_round_trip(tmp_path, capsys):
     assert table.h == 0.05
 
 
+@pytest.mark.parametrize("dist", ["det(1)", "gamma(2,2)"])
+def test_renewal_table_round_trip_through_fft_orders(tmp_path, capsys, dist):
+    # 50000 cells: U2 and U3 come from the FFT convolution branch
+    code, out, _ = run(
+        capsys,
+        "renewal-table",
+        "--dist",
+        dist,
+        "--t-max",
+        "500",
+        "--h",
+        "0.01",
+        "--k-max",
+        "3",
+        "--output-dir",
+        str(tmp_path),
+    )
+    assert code == 0
+    table = table_from_csv(out.strip(), make_distribution(dist))
+    assert table.k_max == 3
+    assert np.all(np.diff(table.uk, axis=1) >= 0)
+    if dist == "det(1)":
+        assert np.array_equal(table.uk[0], np.floor(table.grid + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile-path", "--t-grid", "inf"],
+        ["profile-path", "--t-grid", "0.5,inf"],
+        ["profile-path", "--t-grid", "nan"],
+        ["profile-path", "--t-grid", "0.5,nan"],
+        ["renewal-table", "--t-max", "inf"],
+        ["renewal-table", "--t-max", "nan"],
+        ["renewal-table", "--h", "inf"],
+        ["renewal-table", "--h", "nan"],
+        ["limit-sample", "--t-grid", "nan,1"],
+        ["covariance", "--k-max", "2", "--t-grid", "inf"],
+        ["covariance", "--k", "1", "--l", "1", "--s", "nan", "--u", "1"],
+    ],
+)
+def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_limit_sample_artifact(tmp_path, capsys):
     code, out, _ = run(
         capsys,

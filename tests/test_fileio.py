@@ -55,6 +55,16 @@ def test_tree_csv_minimal(tmp_path):
     assert path.read_text() == "vertex,parent\n1,0\n"
 
 
+def test_tree_csv_matches_row_by_row_text(tmp_path):
+    tree = generate_rrt(1000, RngStream(8, 0))
+    path = tmp_path / "tree.csv"
+    write_tree_csv(path, tree)
+    expected = "vertex,parent\n"
+    for i in range(1, tree.parent.shape[0]):
+        expected += str(i) + "," + str(int(tree.parent[i])) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_tree_csv_parents_parse_back(tmp_path):
     tree = generate_rrt(40, RngStream(5, 0))
     path = tmp_path / "tree.csv"

@@ -72,6 +72,13 @@ def test_validation():
         build_cov_matrix(2, [])
     with pytest.raises(ValueError):
         build_cov_matrix(2, [-1.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cov_rkl(1, 1, bad, 1.0)
+        with pytest.raises(ValueError):
+            cov_rkl_integral(1, 1, 1.0, bad)
+        with pytest.raises(ValueError):
+            build_cov_matrix(2, [0.5, bad])
 
 
 def test_unit_time_matrix_is_hilbert():

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from branchlab.recursive_tree import (
+    _DRAW_BLOCK,
+    MAX_TREE_VERTICES,
     ProfileVector,
     depths_from_parents,
     exact_profile_distribution,
@@ -14,6 +17,7 @@ from branchlab.recursive_tree import (
     level_counts_batch,
     profile,
 )
+from branchlab.errors import CapExceededError
 from branchlab.rng import RngStream
 from branchlab.stat_tests import ks_two_sample
 
@@ -52,13 +56,51 @@ def test_profile_counts_sum_to_size():
 
 
 def test_depths_match_naive_walk():
-    for seed in range(4):
-        tree = generate_rrt(64, RngStream(seed, 2))
-        d = depths_from_parents(tree.parent)
-        naive = np.zeros(64, dtype=np.int64)
-        for i in range(1, 64):
-            naive[i] = naive[tree.parent[i]] + 1
+    parents = [generate_rrt(64, RngStream(seed, 2)).parent for seed in range(4)]
+    parents.append(np.arange(-1, 99, dtype=np.int64))  # path: height V-1, the most passes
+    parents.append(np.r_[-1, np.zeros(99, dtype=np.int64)])  # star
+    parents.append(np.array([-1], dtype=np.int64))
+    parents.append(np.array([-1, 0], dtype=np.int64))
+    for parent in parents:
+        d = depths_from_parents(parent)
+        naive = np.zeros(parent.shape[0], dtype=np.int64)
+        for i in range(1, parent.shape[0]):
+            naive[i] = naive[parent[i]] + 1
+        assert d.dtype == np.int64
         assert np.array_equal(d, naive)
+
+
+def test_depths_reject_parents_that_are_not_a_tree():
+    # a cycle that never reaches the root, then indices outside 0..V-1
+    for bad in ([-1, 2, 1], [-1, 1], [-1, 5], [-1, 0, -1], [-1, 0, 2**32]):
+        with pytest.raises(ValueError):
+            depths_from_parents(np.array(bad, dtype=np.int64))
+
+
+def test_depths_refuse_more_vertices_than_int32_work_arrays_hold():
+    # a zero-stride view: the shape is checked before any allocation
+    too_big = np.broadcast_to(np.int64(0), (MAX_TREE_VERTICES + 1,))
+    with pytest.raises(CapExceededError):
+        depths_from_parents(too_big)
+
+
+def test_depths_peak_memory_stays_below_twice_the_input():
+    parent = generate_rrt(10**6, RngStream(3, 0)).parent
+    tracemalloc.start()
+    try:
+        depths_from_parents(parent)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * parent.nbytes
+
+
+def test_blockwise_parent_draws_equal_one_full_draw():
+    V = 2 * _DRAW_BLOCK + 12_345
+    tree = generate_rrt(V, RngStream(7, 0))
+    full = RngStream(7, 0).gen.integers(0, np.arange(1, V))
+    assert tree.parent[0] == -1
+    assert np.array_equal(tree.parent[1:], full)
 
 
 def test_level_counts_batch_matches_per_tree_profiles():
@@ -136,6 +178,11 @@ def test_grow_and_record_input_validation():
         grow_and_record(100, np.array([-0.5, 1.0]), 2, rng)
     with pytest.raises(ValueError):
         grow_and_record(100, np.array([0.5, 0.5]), 2, rng)
+    for bad in ([np.inf], [0.5, np.inf], [np.nan], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            grow_and_record(100, np.array(bad), 2, rng)
+    with pytest.raises(CapExceededError):
+        grow_and_record(10, np.array([400.0]), 2, rng)
 
 
 def test_grow_final_slice_agrees_with_direct_generation():

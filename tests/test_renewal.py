@@ -230,3 +230,12 @@ def test_grid_validation():
         renewal_function_grid(EXP1, 0.0)
     with pytest.raises(ValueError):
         renewal_function_grid(EXP1, 10.0, h=1e-9, max_cells=1000)
+    bad = ((np.inf, 0.01), (np.nan, 0.01), (10.0, np.inf), (10.0, np.nan), (10.0, 1e-320))
+    for t_max, h in bad:
+        with pytest.raises(ValueError):
+            renewal_function_grid(EXP1, t_max, h=h)
+
+
+def test_grid_shorter_than_one_step_keeps_one_cell():
+    table = renewal_function_grid(EXP1, 1e-12, h=0.01)
+    assert table.n_cells == 1

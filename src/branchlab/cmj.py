@@ -26,17 +26,10 @@ from .rng import RngStream
 
 MAX_EVENTS = 2**28
 _CELL_BUDGET = 4_000_000
-
-
-@dataclass(frozen=True)
-class BirthEvent:
-    """One birth: absolute time, generation, first-generation ancestor label,
-    and the parent event's global index (None for generation 1)."""
-
-    time: float
-    generation: int
-    ancestor1: int
-    parent_event: int | None
+# A walk block may be redrawn at 2, 4 and 8 times its 10-sigma width. That
+# covers laws as skewed as gamma(1e-3,1e-3) at small budgets; a law that
+# needs more cannot pass its budget in bounded memory.
+_MAX_DOUBLINGS = 3
 
 
 class CmjTrajectory:
@@ -64,8 +57,7 @@ class CmjTrajectory:
     def merged_order(self):
         """Global event order (time, then generation, then creation order).
 
-        Returns (times, generations, ancestors, positions) where positions
-        maps (generation index, local index) to global index.
+        Returns (times, generations, ancestors), one entry per event.
         """
         all_t = np.concatenate(self.times) if self.times else np.empty(0)
         gens = np.concatenate(
@@ -74,22 +66,7 @@ class CmjTrajectory:
         anc = np.concatenate(self.anc1) if self.anc1 else np.empty(0, dtype=np.int64)
         seq = np.arange(all_t.shape[0])
         order = np.lexsort((seq, gens, all_t))
-        return all_t[order], gens[order], anc[order], order
-
-    def events(self):
-        """Yield BirthEvent records in global time order."""
-        all_t, gens, anc, order = self.merged_order()
-        # positions of each (generation, local index) in the merged order
-        offsets = np.cumsum([0] + [t.shape[0] for t in self.times])
-        global_of = np.empty(offsets[-1], dtype=np.int64)
-        global_of[order] = np.arange(order.shape[0])
-        for pos in range(all_t.shape[0]):
-            flat = order[pos]
-            g = int(np.searchsorted(offsets, flat, side="right")) - 1
-            local = flat - offsets[g]
-            p = self.parent_idx[g][local]
-            parent_event = None if p < 0 else int(global_of[offsets[g - 1] + p])
-            yield BirthEvent(float(all_t[pos]), int(gens[pos]), int(anc[pos]), parent_event)
+        return all_t[order], gens[order], anc[order]
 
 
 @dataclass(frozen=True)
@@ -128,25 +105,40 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     return float(sum(m**k / math.factorial(k) for k in range(1, k_max + 1)))
 
 
-def _block_size(dist: IncrementDistribution, remaining: float) -> int:
-    m = remaining / dist.mu
-    spread = math.sqrt(max(m, 1.0) * dist.sigma2 / dist.mu**2)
-    return max(16, int(1.2 * m + 6.0 * spread + 16))
+def walk_blocks(dist: IncrementDistribution, rng: RngStream, budgets):
+    """Partial sums of independent walks, one row per budget, in row blocks.
 
-
-def _walk_upto(dist: IncrementDistribution, rng: RngStream, budget: float) -> np.ndarray:
-    """Partial sums of the walk that land in [0, budget]; the walk is always
-    driven past the budget so the count is exact."""
-    pieces = []
-    total = 0.0
-    while True:
-        block = _block_size(dist, budget - total)
-        cs = total + np.cumsum(dist.sample(rng, block))
-        pieces.append(cs[cs <= budget])
-        if cs[-1] > budget:
-            break
-        total = float(cs[-1])
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    Yields (lo, cs, inside) for consecutive blocks covering rows 0..n-1:
+    row i of cs is a walk driven past budgets[lo + i], and inside is
+    cs <= budget, the sums that land within it. A block's width covers its
+    first (largest) budget with a 10-sigma margin, so budgets must be
+    nonincreasing. A block that fails to pass every budget is redrawn at
+    double width, at most _MAX_DOUBLINGS times; past that the law cannot
+    drive the walk past the budget and CapExceededError is raised.
+    """
+    budgets = np.asarray(budgets, dtype=float)
+    if np.any(budgets[1:] > budgets[:-1]):
+        raise ValueError("walk budgets must be nonincreasing")
+    n = budgets.shape[0]
+    lo = 0
+    while lo < n:
+        m = budgets[lo] / dist.mu
+        cols = int(m + 10.0 * math.sqrt(max(m, 1.0) * dist.sigma2 / dist.mu**2) + 32)
+        rows = max(1, min(n - lo, _CELL_BUDGET // cols))
+        b = budgets[lo : lo + rows, None]
+        for _ in range(_MAX_DOUBLINGS + 1):
+            cs = dist.sample(rng, (rows, cols))
+            np.cumsum(cs, axis=1, out=cs)
+            if bool(np.all(cs[:, -1:] > b)):
+                break
+            cols *= 2
+        else:
+            raise CapExceededError(
+                f"walk of {dist.descriptor} did not pass budget {b[0, 0]:g} "
+                f"after {_MAX_DOUBLINGS} doublings of its width"
+            )
+        yield lo, cs, cs <= b
+        lo += rows
 
 
 def _offspring(
@@ -157,32 +149,14 @@ def _offspring(
 ):
     """Child birth times (<= horizon) for every parent, flattened parent-major.
 
-    Returns (times, parent_rows). Parents are processed in contiguous chunks
-    whose column count covers the largest remaining budget with a 10-sigma
-    margin; a chunk that fails to drive every row past its budget is redrawn
-    with doubled width (vanishingly rare, still deterministic).
+    Returns (times, parent_rows); births must be nondecreasing.
     """
-    n = births.shape[0]
     times_parts = []
     rows_parts = []
-    lo = 0
-    while lo < n:
-        b_lo = horizon - births[lo]  # budgets are nonincreasing in birth order
-        m = b_lo / dist.mu
-        cols = int(m + 10.0 * math.sqrt(max(m, 1.0) * dist.sigma2 / dist.mu**2) + 32)
-        rows = max(1, min(n - lo, _CELL_BUDGET // cols))
-        chunk = births[lo : lo + rows]
-        budgets = horizon - chunk
-        while True:
-            draws = dist.sample(rng, (chunk.shape[0], cols))
-            cs = np.cumsum(draws, axis=1)
-            if bool(np.all(cs[:, -1] > budgets)):
-                break
-            cols *= 2
-        mask = cs <= budgets[:, None]
-        times_parts.append((chunk[:, None] + cs)[mask])
-        rows_parts.append(lo + np.repeat(np.arange(chunk.shape[0]), mask.sum(axis=1)))
-        lo += rows
+    for lo, cs, inside in walk_blocks(dist, rng, horizon - births):
+        rows = lo + np.nonzero(inside)[0]
+        times_parts.append(births[rows] + cs[inside])
+        rows_parts.append(rows)
     if not times_parts:
         return np.empty(0), np.empty(0, dtype=np.int64)
     return np.concatenate(times_parts), np.concatenate(rows_parts)
@@ -199,7 +173,8 @@ def simulate_cmj(
 
     Generation-k_max individuals are leaves (their offspring are never
     drawn). Raises CapExceededError when the expected or actual event count
-    leaves the configured cap.
+    leaves the configured cap, or when the law's walk cannot pass its
+    budget (see walk_blocks).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -208,7 +183,7 @@ def simulate_cmj(
     if expected_event_count(dist, horizon, k_max) > event_cap:
         raise CapExceededError("expected event count exceeds the cap")
 
-    g1 = _walk_upto(dist, rng, horizon)
+    g1, _ = _offspring(dist, rng, np.zeros(1), horizon)
     times = [g1]
     anc1 = [np.arange(1, g1.shape[0] + 1, dtype=np.int64)]
     parent_idx = [np.full(g1.shape[0], -1, dtype=np.int64)]
@@ -288,20 +263,9 @@ def renewal_count_samples(
     """n_samples independent copies of the first-generation count at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    m = t / dist.mu
-    cols = int(m + 10.0 * math.sqrt(max(m, 1.0) * dist.sigma2 / dist.mu**2) + 32)
     out = np.empty(n_samples, dtype=np.int64)
-    lo = 0
-    while lo < n_samples:
-        rows = max(1, min(n_samples - lo, _CELL_BUDGET // cols))
-        c = cols
-        while True:
-            cs = np.cumsum(dist.sample(rng, (rows, c)), axis=1)
-            if bool(np.all(cs[:, -1] > t)):
-                break
-            c *= 2
-        out[lo : lo + rows] = (cs <= t).sum(axis=1)
-        lo += rows
+    for lo, cs, inside in walk_blocks(dist, rng, np.full(n_samples, float(t))):
+        out[lo : lo + cs.shape[0]] = inside.sum(axis=1)
     return out
 
 

@@ -146,11 +146,6 @@ def make_distribution(descriptor: str) -> IncrementDistribution:
     raise ValueError(f"unknown distribution kind: {kind!r}")
 
 
-def sample_increment(dist: IncrementDistribution, rng: RngStream) -> float:
-    """One draw from the law."""
-    return float(dist.sample(rng))
-
-
 def lorden_constant(dist: IncrementDistribution) -> float:
     """Constant c >= 1 bounding |U(t) - t/mu| uniformly in t.
 

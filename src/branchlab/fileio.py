@@ -79,22 +79,16 @@ def write_profile_path_csv(path, profile_path: ProfilePath) -> None:
 
 def write_trajectory_csv(path, traj: CmjTrajectory) -> None:
     """Events in global time order: time,generation,ancestor1."""
-    times, gens, anc, _ = traj.merged_order()
-    rows = [("time", "generation", "ancestor1")]
-    rows.extend(
-        (float(times[i]), int(gens[i]), int(anc[i])) for i in range(times.shape[0])
-    )
-    atomic_write_text(path, _csv_text(rows))
+    times, gens, anc = (x.tolist() for x in traj.merged_order())
+    rows = [f"{t:.17g},{g},{a}\n" for t, g, a in zip(times, gens, anc)]
+    atomic_write_text(path, "time,generation,ancestor1\n" + "".join(rows))
 
 
 def write_embedded_tree_csv(path, emb: EmbeddedTree) -> None:
-    rows = [("vertex", "parent", "birth_time")]
-    parent = emb.tree.parent
-    rows.extend(
-        (i, int(parent[i]), float(emb.birth_times[i - 1]))
-        for i in range(1, parent.shape[0])
-    )
-    atomic_write_text(path, _csv_text(rows))
+    """One row per non-root vertex: vertex,parent,birth_time."""
+    pairs = zip(emb.tree.parent[1:].tolist(), emb.birth_times.tolist())
+    rows = [f"{i},{p},{t:.17g}\n" for i, (p, t) in enumerate(pairs, start=1)]
+    atomic_write_text(path, "vertex,parent,birth_time\n" + "".join(rows))
 
 
 def write_renewal_table_csv(path, table: RenewalTable) -> None:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .cmj import count_generation, simulate_cmj, simulate_embedded_rrt
+from .cmj import count_generation, simulate_cmj, simulate_embedded_rrt, walk_blocks
 from .distributions import make_distribution
 from .errors import BranchLabError
 from .fileio import canonical_json_bytes
@@ -378,23 +378,10 @@ def _test_renewal_gamma(cfg, seed):
 
 def _shot_noise_second_moment(dist, table, k, t, m, rng):
     """Monte Carlo mean and SE of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
-    mu_steps = t / dist.mu
-    cols = int(mu_steps + 10.0 * math.sqrt(max(mu_steps, 1.0) * dist.sigma2 / dist.mu**2) + 32)
     vals = np.empty(m, dtype=float)
-    done = 0
-    while done < m:
-        rows = min(max(1, 2_000_000 // cols), m - done)
-        c = cols
-        while True:
-            cs = np.cumsum(dist.sample(rng, (rows, c)), axis=1)
-            if bool(np.all(cs[:, -1] > t)):
-                break
-            c *= 2
-        inside = cs <= t
-        contrib = np.where(inside, np.interp(np.maximum(t - cs, 0.0), table.grid, table.uk[k - 2]), 0.0)
-        shot = contrib.sum(axis=1)
-        vals[done : done + rows] = shot**2
-        done += rows
+    for lo, cs, inside in walk_blocks(dist, rng, np.full(m, t)):
+        contrib = np.where(inside, np.interp(t - cs, table.grid, table.uk[k - 2]), 0.0)
+        vals[lo : lo + cs.shape[0]] = contrib.sum(axis=1) ** 2
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(m)
 
 

@@ -1,8 +1,11 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from branchlab.cli import main
 from branchlab.cmj import (
     CapExceededError,
     ancestor_counts,
@@ -11,6 +14,7 @@ from branchlab.cmj import (
     expected_event_count,
     simulate_cmj,
     simulate_embedded_rrt,
+    walk_blocks,
 )
 from branchlab.distributions import make_distribution
 from branchlab.errors import TableCoverageError
@@ -75,22 +79,19 @@ def test_generation_times_sorted_and_bounded():
 
 def test_event_stream_invariants():
     traj = simulate_cmj(EXP1, 8.0, 3, RngStream(9, 4))
-    seen = []
-    per_gen = {1: 0, 2: 0, 3: 0}
-    for ev in traj.events():
-        if seen:
-            assert ev.time >= seen[-1].time
-        if ev.generation == 1:
-            assert ev.parent_event is None
-        else:
-            parent = seen[ev.parent_event]
-            assert parent.generation == ev.generation - 1
-            assert parent.time <= ev.time
-            assert parent.ancestor1 == ev.ancestor1
-        per_gen[ev.generation] += 1
-        seen.append(ev)
+    merged_t, gens, _ = traj.merged_order()
+    assert np.all(np.diff(merged_t) >= 0)
+    n1 = traj.times[0].shape[0]
+    assert np.array_equal(traj.parent_idx[0], np.full(n1, -1))
+    assert np.array_equal(traj.anc1[0], np.arange(1, n1 + 1))
+    for g in (1, 2):
+        parent = traj.parent_idx[g]
+        assert parent.size > 0
+        assert np.all((parent >= 0) & (parent < traj.times[g - 1].shape[0]))
+        assert np.all(traj.times[g - 1][parent] <= traj.times[g])
+        assert np.array_equal(traj.anc1[g], traj.anc1[g - 1][parent])
     for k in (1, 2, 3):
-        assert per_gen[k] == count_generation(traj, k, 8.0)
+        assert np.count_nonzero(gens == k) == count_generation(traj, k, 8.0)
 
 
 def test_ancestor_counts_partition():
@@ -123,6 +124,60 @@ def test_expected_event_count_oracle():
 def test_cap_precheck_raises():
     with pytest.raises(CapExceededError):
         simulate_cmj(EXP1, 2000.0, 3, RngStream(0, 0), event_cap=10**6)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past the given wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys):
+    # numpy draws exact zeros for nearly every shape-1e-9 increment, so
+    # the walks stall short of their budgets
+    law = make_distribution("gamma(1e-9,1e-9)")
+    with time_limit(15), pytest.raises(CapExceededError):
+        simulate_cmj(law, 10.0, 2, RngStream(0, 0))
+    with time_limit(15):
+        code = main(["cmj", "--dist", "gamma(1e-9,1e-9)", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("law", [EXP1, GAMMA22, DET1], ids=lambda d: d.descriptor)
+def test_walk_blocks_cover_rows_and_pass_budgets(law):
+    # enough rows that 4e6-cell blocks split them into several blocks
+    budgets = np.linspace(60.0, 0.0, 120_001)
+    next_row = 0
+    counts = []
+    for lo, cs, inside in walk_blocks(law, RngStream(2, 0), budgets):
+        assert lo == next_row
+        b = budgets[lo : lo + cs.shape[0]]
+        assert np.all(cs[:, -1] > b)
+        assert np.array_equal(inside, cs <= b[:, None])
+        counts.append(inside.sum(axis=1))
+        next_row += cs.shape[0]
+    assert next_row == budgets.shape[0]
+    assert len(counts) > 1
+    if law is DET1:
+        assert np.array_equal(np.concatenate(counts), np.floor(budgets))
+
+
+def test_walk_blocks_budget_validation():
+    with pytest.raises(ValueError):
+        list(walk_blocks(EXP1, RngStream(0, 0), [1.0, 2.0]))
+    assert list(walk_blocks(EXP1, RngStream(0, 0), [])) == []
 
 
 def test_embedded_root_child_time():

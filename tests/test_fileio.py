@@ -7,6 +7,7 @@ import pytest
 from branchlab.cmj import simulate_cmj, simulate_embedded_rrt
 from branchlab.distributions import make_distribution
 from branchlab.fileio import (
+    _csv_text,
     atomic_write_text,
     canonical_json_bytes,
     format_float,
@@ -63,6 +64,27 @@ def test_tree_csv_matches_row_by_row_text(tmp_path):
     for i in range(1, tree.parent.shape[0]):
         expected += str(i) + "," + str(int(tree.parent[i])) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_trajectory_csv_matches_row_by_row_text(tmp_path):
+    traj = simulate_cmj(make_distribution("gamma(2,2)"), 30.0, 3, RngStream(12, 0))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    times, gens, anc = traj.merged_order()
+    rows = [("time", "generation", "ancestor1")]
+    rows.extend((times[i], gens[i], anc[i]) for i in range(times.shape[0]))
+    assert times.shape[0] > 100
+    assert path.read_bytes() == _csv_text(rows).encode("utf-8")
+
+
+def test_embedded_tree_csv_matches_row_by_row_text(tmp_path):
+    emb = simulate_embedded_rrt(1000, RngStream(13, 0))
+    path = tmp_path / "embedded.csv"
+    write_embedded_tree_csv(path, emb)
+    parent = emb.tree.parent
+    rows = [("vertex", "parent", "birth_time")]
+    rows.extend((i, parent[i], emb.birth_times[i - 1]) for i in range(1, parent.shape[0]))
+    assert path.read_bytes() == _csv_text(rows).encode("utf-8")
 
 
 def test_tree_csv_parents_parse_back(tmp_path):

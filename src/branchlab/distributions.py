@@ -8,7 +8,6 @@ and finite second moment by construction.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 

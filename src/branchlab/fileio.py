@@ -16,7 +16,7 @@ import numpy as np
 
 from .cmj import CmjTrajectory, EmbeddedTree
 from .gaussian_limit import CovMatrix, GaussianGridSample
-from .recursive_tree import ProfilePath, ProfileVector, RecursiveTree
+from .recursive_tree import ProfilePath, RecursiveTree
 from .renewal import RenewalTable, table_to_csv_rows
 
 _FLOAT_FMT = "%.17g"
@@ -61,12 +61,6 @@ def write_tree_csv(path, tree: RecursiveTree) -> None:
     """One row per non-root vertex: vertex,parent."""
     rows = [f"{i},{p}\n" for i, p in enumerate(tree.parent[1:].tolist(), start=1)]
     atomic_write_text(path, "vertex,parent\n" + "".join(rows))
-
-
-def write_profile_csv(path, profile: ProfileVector) -> None:
-    rows = [("level", "count")]
-    rows.extend((k, int(profile.counts[k])) for k in range(profile.counts.shape[0]))
-    atomic_write_text(path, _csv_text(rows))
 
 
 def write_profile_path_csv(path, profile_path: ProfilePath) -> None:

@@ -33,11 +33,6 @@ class RecursiveTree:
     def n_vertices(self) -> int:
         return int(self.parent.shape[0])
 
-    @property
-    def edge_parents(self) -> np.ndarray:
-        """Parents of the non-root vertices 1..V-1 (empty for the root-only tree)."""
-        return self.parent[1:]
-
     def depths(self) -> np.ndarray:
         return depths_from_parents(self.parent)
 
@@ -145,24 +140,30 @@ def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.nd
     return rng.gen.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))
 
 
-def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
-    """Counts at levels 1..k_max for every row of a parent matrix.
+def _level_masks(parents: np.ndarray, k_max: int):
+    """Yield the level-k masks of vertices 1..V-1 for k = 1..k_max.
 
-    One boolean gather per level; no per-tree Python work.
+    parents holds the parents of vertices 1..V-1 along its last axis: one
+    tree, or one tree per row. The level-k mask is the level-(k-1) mask
+    gathered through the parent array; the walk stops at the first empty
+    level.
     """
-    n_batch, v_minus_1 = parents.shape
-    out = np.zeros((n_batch, k_max), dtype=np.int64)
-    if v_minus_1 == 0:
-        return out
-    mask = np.zeros((n_batch, v_minus_1 + 1), dtype=bool)
-    mask[:, 0] = True
-    for k in range(1, k_max + 1):
-        child = np.take_along_axis(mask, parents, axis=1)
-        out[:, k - 1] = child.sum(axis=1)
+    mask = np.zeros(parents.shape[:-1] + (parents.shape[-1] + 1,), dtype=bool)
+    mask[..., 0] = True
+    for _ in range(k_max):
+        child = np.take_along_axis(mask, parents, axis=-1)
         if not child.any():
-            break
-        mask = np.zeros_like(mask)
-        mask[:, 1:] = child
+            return
+        yield child
+        mask[..., 0] = False
+        mask[..., 1:] = child
+
+
+def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
+    """Counts at levels 1..k_max for every row of a parent matrix."""
+    out = np.zeros((parents.shape[0], k_max), dtype=np.int64)
+    for k, mask in enumerate(_level_masks(parents, k_max), start=1):
+        out[:, k - 1] = np.count_nonzero(mask, axis=1)
     return out
 
 
@@ -179,13 +180,7 @@ def _power_size(n_base: int, t: float) -> int:
     return int(math.floor(x))
 
 
-def grow_and_record(
-    n_base: int,
-    t_grid,
-    k_max: int,
-    rng: RngStream,
-    max_vertices: int = MAX_TREE_VERTICES,
-) -> ProfilePath:
+def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfilePath:
     """Grow one tree and snapshot levels 1..k_max at sizes floor(n_base**t).
 
     The same realization is used for every snapshot: the size-s prefix of
@@ -206,28 +201,20 @@ def grow_and_record(
         raise ValueError("k_max must be >= 1")
 
     t_last = float(t_grid[-1])
-    if t_last * math.log(n_base) > math.log(max_vertices) + 1.0:  # before exp can overflow
-        raise CapExceededError(f"final tree size {n_base}**{t_last} exceeds the cap {max_vertices}")
+    if t_last * math.log(n_base) > math.log(MAX_TREE_VERTICES) + 1.0:  # before exp can overflow
+        raise CapExceededError(
+            f"final tree size {n_base}**{t_last} exceeds the cap {MAX_TREE_VERTICES}"
+        )
     sizes = np.array([_power_size(n_base, t) for t in t_grid], dtype=np.int64)
     total = int(sizes[-1])
-    if total > max_vertices:
-        raise CapExceededError(f"final tree size {total} exceeds the cap {max_vertices}")
+    if total > MAX_TREE_VERTICES:
+        raise CapExceededError(f"final tree size {total} exceeds the cap {MAX_TREE_VERTICES}")
 
     tree = generate_rrt(total, rng)
     values = np.zeros((t_grid.size, k_max), dtype=np.int64)
-    if total > 1:
-        mask = np.zeros(total, dtype=bool)
-        mask[0] = True
-        p = tree.parent[1:]
-        for k in range(1, k_max + 1):
-            child = mask[p]
-            # vertices at level k, in insertion order
-            idx = np.flatnonzero(child) + 1
-            values[:, k - 1] = np.searchsorted(idx, sizes, side="left")
-            if idx.size == 0:
-                break
-            mask = np.zeros(total, dtype=bool)
-            mask[idx] = True
+    for k, mask in enumerate(_level_masks(tree.parent[1:], k_max), start=1):
+        # vertices at level k, in insertion order
+        values[:, k - 1] = np.searchsorted(np.flatnonzero(mask) + 1, sizes, side="left")
     return ProfilePath(n_base, t_grid, k_max, sizes, values)
 
 

@@ -6,6 +6,7 @@ in replicate order, so outputs are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -18,11 +19,13 @@ def _run_chunk(args):
     return [task(r, RngStream(seed, r)) for r in range(lo, hi)]
 
 
-def map_replicated(task, n_reps: int, seed: int, workers: int = 1, chunk_size: int | None = None):
+def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
     """Evaluate task(r, RngStream(seed, r)) for r in 0..n_reps-1, in order.
 
     task must be picklable (a module-level callable or functools.partial of
-    one) when workers > 1. Returns the stacked numpy array of results.
+    one) when workers > 1. The pool then starts min(workers, n_reps, cpu
+    count) processes and hands them about four chunks of replicates each.
+    Returns the stacked numpy array of results.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -31,14 +34,14 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1, chunk_size: i
     if workers == 1:
         rows = _run_chunk((task, seed, 0, n_reps))
     else:
-        if chunk_size is None:
-            chunk_size = max(1, math.ceil(n_reps / (workers * 4)))
+        procs = min(workers, n_reps, os.cpu_count() or 1)
+        chunk_size = math.ceil(n_reps / (procs * 4))
         chunks = [
             (task, seed, lo, min(lo + chunk_size, n_reps))
             for lo in range(0, n_reps, chunk_size)
         ]
         rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             for part in pool.map(_run_chunk, chunks):
                 rows.extend(part)
     return np.stack(rows)

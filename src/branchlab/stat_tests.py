@@ -43,27 +43,6 @@ class KsReport:
     reference: str
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedSample:
-    """Counts mapped onto the scale of the Gaussian limit.
-
-    scale_param is the tree size n in tree mode or the horizon t in cmj
-    mode. Values must be finite; degenerate boundary cases (t = 0) are
-    represented by exact zeros.
-    """
-
-    k: int
-    scale_param: float
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("tree", "cmj"):
-            raise ValueError("mode must be 'tree' or 'cmj'")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("normalized values must be finite")
-
-
 def kolmogorov_pvalue(lam: float) -> float:
     """Asymptotic two-sided KS tail probability P(K > lam).
 
@@ -134,29 +113,37 @@ def ks_two_sample(a, b) -> KsReport:
     )
 
 
-def normalize_tree_profile(counts, n: int, k: int) -> np.ndarray:
-    """Center and scale level-k counts of an (n+1)-vertex uniform tree.
+def normalize_tree_profile(counts, n: int, k: int, s: float = 1.0) -> np.ndarray:
+    """Center and scale level-k counts of a uniform tree of about n^s vertices.
 
-    Maps x to (k-1)! (x - (ln n)^k / k!) / (ln n)^(k - 1/2), the scale
-    on which the counts are asymptotically normal with variance
-    1 / (2k - 1).
+    Maps x to (k-1)! (x - (s ln n)^k / k!) / (ln n)^(k - 1/2): the center
+    is taken at grid fraction s and the scale at the full size n. With
+    s = 1 the counts of an (n+1)-vertex tree are asymptotically normal
+    with variance 1 / (2k - 1); at fraction s the variance is
+    s^(2k-1) / (2k - 1).
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2 so that ln n > 0")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("grid fraction s must be finite and >= 0")
     x = np.asarray(counts, dtype=float)
     ln = math.log(n)
-    center = ln**k / math.factorial(k)
+    center = (s * ln) ** k / math.factorial(k)
     return (x - center) * (math.factorial(k - 1) / ln ** (k - 0.5))
 
 
-def normalize_cmj(counts, t: float, k: int, mu: float, sigma2: float) -> np.ndarray:
-    """Center and scale generation-k birth counts at time t.
+def normalize_cmj(
+    counts, t: float, k: int, mu: float, sigma2: float, s: float = 1.0
+) -> np.ndarray:
+    """Center and scale generation-k birth counts at time s t.
 
-    Maps y to (k-1)! (y - t^k / (k! mu^k)) / sqrt(sigma2 mu^(-2k-1)
-    t^(2k-1)); on this scale the counts converge to the time-1 marginal
-    of the integrated-noise limit, a normal with variance 1 / (2k - 1).
+    Maps y to (k-1)! (y - (s t)^k / (k! mu^k)) / sqrt(sigma2 mu^(-2k-1)
+    t^(2k-1)): the center is taken at grid fraction s of the horizon t and
+    the scale at the full horizon. On this scale the counts converge to
+    the time-s marginal of the integrated-noise limit, a normal with
+    variance s^(2k-1) / (2k - 1).
     """
     if k < 1:
         raise ValueError("generation k must be >= 1")
@@ -166,12 +153,14 @@ def normalize_cmj(counts, t: float, k: int, mu: float, sigma2: float) -> np.ndar
         raise ValueError("normalization needs sigma2 > 0")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("grid fraction s must be finite and >= 0")
     y = np.asarray(counts, dtype=float)
     if t == 0.0:
         if np.any(y != 0.0):
             raise ValueError("counts at t = 0 must all be zero")
         return np.zeros_like(y)
-    center = t**k / (math.factorial(k) * mu**k)
+    center = (s * t) ** k / (math.factorial(k) * mu**k)
     denom = math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1))
     return (y - center) * (math.factorial(k - 1) / denom)
 
@@ -251,9 +240,10 @@ def functional_grid_test(
     t_grid holds fractions of the full horizon in [0, 1]. For mode
     "cmj" each replicate is a branching trajectory run to `horizon`
     under `dist`; for mode "tree" each replicate is one tree grown to
-    n_base^s vertices at every grid fraction s. Counts are normalized
-    with the full-horizon denominator and the fraction-s centering, so
-    across the grid they should match the integrated-noise process:
+    n_base^s vertices at every grid fraction s. Each (k, s) column goes
+    through normalize_cmj or normalize_tree_profile with that s: centered
+    at fraction s, scaled at the full horizon or size. Across the grid
+    the columns should then match the integrated-noise process:
     every positive-s marginal is KS-tested against its exact normal
     law and the joint empirical covariance is compared entrywise with
     the closed-form target, in units of its standard error.
@@ -289,6 +279,7 @@ def functional_grid_test(
             s_grid=s_grid,
             k_max=int(k_max),
         )
+        norm = partial(normalize_cmj, t=float(horizon), mu=dist.mu, sigma2=dist.sigma2)
         scale = float(horizon)
     elif mode == "tree":
         if n_base is None:
@@ -301,6 +292,7 @@ def functional_grid_test(
             s_grid=s_grid,
             k_max=int(k_max),
         )
+        norm = partial(normalize_tree_profile, n=int(n_base))
         scale = float(n_base)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -308,26 +300,12 @@ def functional_grid_test(
     raw = map_replicated(task, n_reps, seed, workers=workers)
 
     z = np.empty_like(raw)
-    s_arr = np.asarray(s_grid)
-    if mode == "cmj":
-        full = float(horizon)
-        mu = dist.mu
-        s2 = dist.sigma2
-        for ki in range(k_max):
-            k = ki + 1
-            center = (s_arr * full) ** k / (math.factorial(k) * mu**k)
-            denom = math.sqrt(s2 * mu ** (-2 * k - 1) * full ** (2 * k - 1))
-            z[:, ki, :] = (raw[:, ki, :] - center) * (math.factorial(k - 1) / denom)
-    else:
-        ln_full = math.log(n_base)
-        for ki in range(k_max):
-            k = ki + 1
-            center = (s_arr * ln_full) ** k / math.factorial(k)
-            denom = ln_full ** (k - 0.5)
-            z[:, ki, :] = (raw[:, ki, :] - center) * (math.factorial(k - 1) / denom)
+    for ki in range(k_max):
+        for si, s in enumerate(s_grid):
+            z[:, ki, si] = norm(raw[:, ki, si], k=ki + 1, s=s)
 
     origin_ok = None
-    zero_cols = np.flatnonzero(s_arr == 0.0)
+    zero_cols = np.flatnonzero(grid == 0.0)
     if zero_cols.size:
         origin_ok = bool(np.all(z[:, :, zero_cols] == 0.0))
 

@@ -29,7 +29,6 @@ from .errors import BranchLabError
 from .fileio import canonical_json_bytes
 from .gaussian_limit import build_cov_matrix, cov_rkl, cov_rkl_integral, sample_limit
 from .recursive_tree import (
-    depths_from_parents,
     exact_profile_distribution,
     generate_parent_matrix,
     generate_rrt,
@@ -51,7 +50,6 @@ from .stat_tests import (
     functional_grid_test,
     ks_one_sample,
     ks_two_sample,
-    normalize_cmj,
     normalize_tree_profile,
 )
 
@@ -101,20 +99,9 @@ def _entry(
 
 
 def _embedding_task(rep, rng, n, k_hi):
-    direct = depths_from_parents(generate_rrt(n + 1, rng).parent)
-    emb = depths_from_parents(simulate_embedded_rrt(n, rng).tree.parent)
-    out = np.empty(2 * k_hi, dtype=float)
-    for k in range(1, k_hi + 1):
-        out[k - 1] = np.count_nonzero(direct == k)
-        out[k_hi + k - 1] = np.count_nonzero(emb == k)
-    return out
-
-
-def _cmj_clt_task(rep, rng, dist, horizon, k_max):
-    traj = simulate_cmj(dist, horizon, k_max, rng)
-    return np.array(
-        [count_generation(traj, k, horizon) for k in range(1, k_max + 1)], dtype=float
-    )
+    direct = generate_rrt(n + 1, rng).parent[1:]
+    emb = simulate_embedded_rrt(n, rng).tree.parent[1:]
+    return level_counts_batch(np.stack([direct, emb]), k_hi).ravel().astype(float)
 
 
 def _tree_batch_task(rep, rng, n_plus_1, k_hi, n_trees):
@@ -124,13 +111,13 @@ def _tree_batch_task(rep, rng, n_plus_1, k_hi, n_trees):
 
 def _probe_task(rep, rng, dist, horizon, n):
     traj = simulate_cmj(dist, horizon, 2, rng)
-    d = depths_from_parents(generate_rrt(n + 1, rng).parent)
+    levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
     return np.array(
         [
             count_generation(traj, 1, horizon),
             count_generation(traj, 2, horizon),
-            float(np.count_nonzero(d == 1)),
-            float(np.count_nonzero(d == 2)),
+            float(levels[0]),
+            float(levels[1]),
             rng.gen.random(),
         ]
     )
@@ -192,12 +179,12 @@ def _cmj_clt_entries(cfg, seed, label, dist):
     horizon, k_max = 200.0, 2
     m = 400 if cfg.quick else 2000
     budget = 0.12 if cfg.quick else 0.08
-    task = partial(_cmj_clt_task, dist=dist, horizon=horizon, k_max=k_max)
-    rows = map_replicated(task, m, seed, workers=cfg.workers)
+    report = functional_grid_test(
+        "cmj", (1.0,), k_max, m, seed, workers=cfg.workers, dist=dist, horizon=horizon
+    )
     out = []
     for k in range(1, k_max + 1):
-        z = normalize_cmj(rows[:, k - 1], horizon, k, dist.mu, dist.sigma2)
-        rep = ks_one_sample(z * math.sqrt(2 * k - 1), "normal(0,1)")
+        rep = report.marginals[(k, 0)]
         out.append(
             _entry(
                 f"{label}.k{k}",

@@ -15,7 +15,6 @@ from branchlab.fileio import (
     write_cov_csv,
     write_embedded_tree_csv,
     write_manifest_json,
-    write_profile_csv,
     write_profile_path_csv,
     write_renewal_table_csv,
     write_samples_csv,
@@ -23,7 +22,7 @@ from branchlab.fileio import (
     write_tree_csv,
 )
 from branchlab.gaussian_limit import build_cov_matrix, sample_limit
-from branchlab.recursive_tree import generate_rrt, grow_and_record, profile
+from branchlab.recursive_tree import generate_rrt, grow_and_record
 from branchlab.renewal import build_renewal_table, table_from_csv
 from branchlab.rng import RngStream
 
@@ -94,18 +93,6 @@ def test_tree_csv_parents_parse_back(tmp_path):
     data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.int64)
     assert np.array_equal(data[:, 0], np.arange(1, 40))
     assert np.array_equal(data[:, 1], tree.parent[1:])
-
-
-def test_profile_csv(tmp_path):
-    tree = generate_rrt(30, RngStream(1, 0))
-    prof = profile(tree)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, prof)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level,count"
-    assert lines[1] == "0,1"
-    counts = [int(line.split(",")[1]) for line in lines[1:]]
-    assert sum(counts) == 30
 
 
 def test_profile_path_csv(tmp_path):

@@ -164,6 +164,15 @@ def test_grow_and_record_snapshots():
     # level counts only grow with the tree
     assert np.all(np.diff(path.values, axis=0) >= 0)
     assert path.value(2, 1) == path.values[2, 0]
+    # every snapshot is the level count of a prefix of the final tree; the
+    # second input has a size-1 snapshot and levels past the tree's height
+    for n_base, grid, k_max, seed in ((100, t_grid, 3, 23), (3, (0.0, 0.5, 1.0, 2.0), 5, 4)):
+        path = grow_and_record(n_base, np.array(grid), k_max, RngStream(seed, 0))
+        parent = generate_rrt(int(path.sizes[-1]), RngStream(seed, 0)).parent
+        for size, values in zip(path.sizes.tolist(), path.values):
+            assert values.tolist() == level_counts_batch(parent[None, 1:size], k_max)[0].tolist()
+    assert path.sizes.tolist() == [1, 1, 3, 9]
+    assert path.values[:, -1].tolist() == [0, 0, 0, 0]
 
 
 def test_grow_and_record_power_sizes_snap():

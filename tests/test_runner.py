@@ -1,0 +1,51 @@
+import os
+
+import numpy as np
+import pytest
+
+from branchlab import runner
+
+
+def _task(rep, rng):
+    return np.array([rep, rng.gen.random()])
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        assert len(items) >= self.sizes[-1]
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, n_reps, cpus, want",
+    [(100_000, 40, 4, 4), (3, 2, 8, 2), (2, 40, 1, 1), (6, 40, 8, 6)],
+)
+def test_pool_size_is_bounded(monkeypatch, workers, n_reps, cpus, want):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _InProcessPool.sizes = []
+    pooled = runner.map_replicated(_task, n_reps, 11, workers=workers)
+    assert _InProcessPool.sizes == [want]
+    serial = runner.map_replicated(_task, n_reps, 11)
+    assert pooled.tobytes() == serial.tobytes()
+
+
+def test_argument_validation():
+    with pytest.raises(ValueError):
+        runner.map_replicated(_task, 0, 1)
+    with pytest.raises(ValueError):
+        runner.map_replicated(_task, 5, 1, workers=0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import kolmogorov, ndtr
 
+from branchlab.cmj import count_generation, simulate_cmj
 from branchlab.distributions import make_distribution
+from branchlab.gaussian_limit import marginal_sd
 from branchlab.rng import RngStream
 from branchlab.stat_tests import (
-    NormalizedSample,
     empirical_cov,
     functional_grid_test,
     kolmogorov_pvalue,
@@ -92,6 +93,11 @@ def test_tree_normalization_center_and_scale():
     z = normalize_tree_profile(x, n, 2)
     want = (x - ln**2 / 2.0) * (1.0 / ln**1.5)
     assert np.allclose(z, want, rtol=1e-13)
+    # centred at fraction s, still scaled at the full size
+    for s in (0.0, 0.25, 0.5):
+        z = normalize_tree_profile(x, n, 3, s=s)
+        want = (x - (s * ln) ** 3 / 6.0) * (2.0 / ln**2.5)
+        assert np.allclose(z, want, rtol=1e-13, atol=1e-15)
 
 
 def test_cmj_normalization_center_and_scale():
@@ -101,6 +107,12 @@ def test_cmj_normalization_center_and_scale():
     assert np.allclose(z, (y - t) / math.sqrt(t), rtol=1e-13)
     z2 = normalize_cmj(y, t, 2, 1.0, 1.0)
     assert np.allclose(z2, (y - t**2 / 2.0) / math.sqrt(t**3), rtol=1e-13)
+    # centred at fraction s of the horizon, still scaled at the full horizon
+    mu, sigma2 = 2.0, 3.0
+    for s in (0.0, 0.5):
+        z = normalize_cmj(y, t, 2, mu, sigma2, s=s)
+        want = (y - (s * t) ** 2 / (2.0 * mu**2)) / math.sqrt(sigma2 * mu**-5 * t**3)
+        assert np.allclose(z, want, rtol=1e-13)
 
 
 def test_normalization_preserves_order():
@@ -125,15 +137,11 @@ def test_normalization_validation():
     with pytest.raises(ValueError):
         normalize_cmj([1.0], 0.0, 1, 1.0, 1.0)
     assert np.array_equal(normalize_cmj([0.0, 0.0], 0.0, 1, 1.0, 1.0), [0.0, 0.0])
-
-
-def test_normalized_sample_record():
-    ok = NormalizedSample(2, 100.0, np.zeros(4), "tree")
-    assert ok.k == 2 and ok.mode == "tree"
-    with pytest.raises(ValueError):
-        NormalizedSample(1, 1.0, np.zeros(2), "paths")
-    with pytest.raises(ValueError):
-        NormalizedSample(1, 1.0, np.array([np.nan]), "cmj")
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            normalize_tree_profile([1.0], 10, 1, s=bad)
+        with pytest.raises(ValueError):
+            normalize_cmj([1.0], 5.0, 1, 1.0, 1.0, s=bad)
 
 
 def test_empirical_cov_basics():
@@ -168,6 +176,24 @@ def test_functional_grid_cmj():
     assert report.max_cov_dev_se < 6.0
     assert report.cov_target.index[:3] == ((1, 0.0), (1, 0.5), (1, 1.0))
     assert report.cov_emp.shape == (6, 6)
+
+
+def test_functional_grid_unit_fraction_marginals_match_normalize_cmj():
+    horizon, n_reps, seed = 30.0, 64, 8
+    report = functional_grid_test(
+        "cmj", (1.0,), k_max=2, n_reps=n_reps, seed=seed, dist=EXP1, horizon=horizon
+    )
+    trajs = [simulate_cmj(EXP1, horizon, 2, RngStream(seed, r)) for r in range(n_reps)]
+    for k in (1, 2):
+        counts = [count_generation(traj, k, horizon) for traj in trajs]
+        z = normalize_cmj(counts, horizon, k, EXP1.mu, EXP1.sigma2)
+        want = ks_one_sample(z, f"normal(0,{marginal_sd(k, 1.0)!r})")
+        got = report.marginals[(k, 0)]
+        assert (got.statistic, got.p_value, got.n_eff) == (want.statistic, want.p_value, want.n_eff)
+        # rescaling to unit variance first agrees up to rounding
+        unit = ks_one_sample(z * math.sqrt(2 * k - 1), "normal(0,1)")
+        assert got.statistic == pytest.approx(unit.statistic, abs=1e-12)
+        assert got.p_value == pytest.approx(unit.p_value, abs=1e-12)
 
 
 def test_functional_grid_deterministic_across_workers():

@@ -167,20 +167,19 @@ def simulate_cmj(
     horizon: float,
     k_max: int,
     rng: RngStream,
-    event_cap: int = MAX_EVENTS,
 ) -> CmjTrajectory:
     """Simulate generations 1..k_max up to the horizon.
 
     Generation-k_max individuals are leaves (their offspring are never
     drawn). Raises CapExceededError when the expected or actual event count
-    leaves the configured cap, or when the law's walk cannot pass its
+    exceeds MAX_EVENTS, or when the law's walk cannot pass its
     budget (see walk_blocks).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if expected_event_count(dist, horizon, k_max) > event_cap:
+    if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
         raise CapExceededError("expected event count exceeds the cap")
 
     g1, _ = _offspring(dist, rng, np.zeros(1), horizon)
@@ -195,7 +194,7 @@ def simulate_cmj(
         child_t = child_t[order]
         child_rows = child_rows[order]
         total += child_t.shape[0]
-        if total > event_cap:
+        if total > MAX_EVENTS:
             raise CapExceededError("event count exceeds the cap")
         times.append(child_t)
         anc1.append(anc1[-1][child_rows])

@@ -32,8 +32,6 @@ class RenewalTable:
     dist: IncrementDistribution
     h: float
     uk: np.ndarray  # shape (k_max, n_cells + 1); row k-1 holds U_k on the grid
-    mu: float
-    c: float  # usable deviation-band constant, >= 1
 
     @property
     def k_max(self) -> int:
@@ -112,7 +110,6 @@ def renewal_function_grid(
     dist: IncrementDistribution,
     t_max: float,
     h: float = 0.01,
-    max_cells: int = MAX_GRID_CELLS,
 ) -> RenewalTable:
     """Solve for U on the grid 0, h, ..., ceil(t_max/h)*h."""
     if not (math.isfinite(h) and h > 0):
@@ -120,15 +117,15 @@ def renewal_function_grid(
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
     cells = t_max / h - 1e-9  # may overflow to inf for a tiny h
-    if cells > max_cells:
-        raise ValueError(f"grid of {t_max / h:.6g} cells exceeds the cap {max_cells}")
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {t_max / h:.6g} cells exceeds the cap {MAX_GRID_CELLS}")
     n_cells = max(1, int(math.ceil(cells)))
     if dist.lattice_span > 0:
         ratio = dist.lattice_span / h
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid step must divide the lattice span")
     U = _volterra_u(dist, n_cells, h)
-    return RenewalTable(dist, h, U[np.newaxis, :].copy(), dist.mu, lorden_constant(dist))
+    return RenewalTable(dist, h, U[np.newaxis, :].copy())
 
 
 def _convolve_next(prev: np.ndarray, dU: np.ndarray, lattice: bool) -> np.ndarray:
@@ -161,7 +158,7 @@ def higher_renewal_grid(table: RenewalTable, k_max: int) -> RenewalTable:
     rows = [table.uk[i] for i in range(table.k_max)]
     for _ in range(table.k_max + 1, k_max + 1):
         rows.append(_convolve_next(rows[-1], dU, lattice))
-    return RenewalTable(table.dist, table.h, np.vstack(rows), table.mu, table.c)
+    return RenewalTable(table.dist, table.h, np.vstack(rows))
 
 
 def build_renewal_table(
@@ -173,21 +170,17 @@ def build_renewal_table(
 
 def lorden_check(table: RenewalTable) -> tuple[float, float]:
     """(min, max) over the grid of U(t) - t/mu."""
-    dev = table.uk[0] - table.grid / table.mu
+    dev = table.uk[0] - table.grid / table.dist.mu
     return float(dev.min()), float(dev.max())
 
 
 def uk_deviation_bound(table: RenewalTable, k: int) -> np.ndarray:
     """Pointwise bound on |U_k(t) - t^k/(k! mu^k)| built from the band constant c."""
     t = table.grid
+    mu, c = table.dist.mu, lorden_constant(table.dist)
     total = np.zeros_like(t)
     for i in range(k):
-        total += (
-            math.comb(k, i)
-            * t**i
-            * table.c ** (k - i)
-            / (math.factorial(i) * table.mu**i)
-        )
+        total += math.comb(k, i) * t**i * c ** (k - i) / (math.factorial(i) * mu**i)
     return total
 
 
@@ -199,7 +192,7 @@ def uk_bound_check(table: RenewalTable, k: int) -> float:
     """
     row = table._row(k)
     t = table.grid
-    poly = t**k / (math.factorial(k) * table.mu**k)
+    poly = t**k / (math.factorial(k) * table.dist.mu**k)
     slack = np.abs(row - poly) - uk_deviation_bound(table, k)
     return float(slack.max())
 
@@ -256,7 +249,8 @@ def yk3_exact(table: RenewalTable, k: int, t: float) -> float:
         raise ValueError("k must be >= 2")
     if table.k_max < k - 1:
         raise TableCoverageError(f"table must hold orders up to {k - 1}")
-    return table.integral(k - 1, t) / table.mu - t**k / (math.factorial(k) * table.mu**k)
+    mu = table.dist.mu
+    return table.integral(k - 1, t) / mu - t**k / (math.factorial(k) * mu**k)
 
 
 def abs_normal_moment(p: float, variance: float) -> float:
@@ -320,4 +314,4 @@ def table_from_csv(path: str, dist: IncrementDistribution) -> RenewalTable:
     uk = np.ascontiguousarray(data[:, 1:].T)
     if np.any(np.diff(uk, axis=1) < -1e-9):
         raise ValueError("table CSV rows must be nondecreasing")
-    return RenewalTable(dist, h, uk, dist.mu, lorden_constant(dist))
+    return RenewalTable(dist, h, uk)

@@ -45,13 +45,7 @@ from .renewal import (
 )
 from .rng import RngStream, mix64
 from .runner import map_replicated
-from .stat_tests import (
-    empirical_cov,
-    functional_grid_test,
-    ks_one_sample,
-    ks_two_sample,
-    normalize_tree_profile,
-)
+from .stat_tests import empirical_cov, functional_grid_test, ks_two_sample
 
 _TWO_SAMPLE_CRIT = 1.9495  # sqrt(-ln(alpha/2)/2) at alpha = 0.001
 
@@ -275,15 +269,9 @@ def _test_profile_small_n_tv(cfg, seed):
 def _test_level1_moments(cfg, seed):
     n = 10_000
     m = 800 if cfg.quick else 4000
-    rng = RngStream(seed, 0)
     mean_exact, var_exact = level1_moments(n)
-    counts = np.empty(m, dtype=float)
-    done = 0
-    while done < m:
-        rows = min(256, m - done)
-        parents = generate_parent_matrix(rows, n + 1, rng)
-        counts[done : done + rows] = np.count_nonzero(parents == 0, axis=1)
-        done += rows
+    task = partial(_tree_batch_task, n_plus_1=n + 1, k_hi=1, n_trees=200)
+    counts = map_replicated(task, m // 200, seed, workers=cfg.workers).ravel()
     mean_emp = float(counts.mean())
     var_emp = float(counts.var(ddof=1))
     centered = counts - mean_emp
@@ -447,16 +435,13 @@ def _test_worker_determinism(cfg, seed):
 
 def _test_tree_profile_direct(cfg, seed):
     n_plus_1 = 100_001
-    trees_per_rep = 50
-    reps = 8 if cfg.quick else 40
-    m = reps * trees_per_rep
-    task = partial(_tree_batch_task, n_plus_1=n_plus_1, k_hi=2, n_trees=trees_per_rep)
-    rows = map_replicated(task, reps, seed, workers=cfg.workers)
-    counts = rows.reshape(m, 2)
+    m = 400 if cfg.quick else 2000
+    report = functional_grid_test(
+        "tree", (1.0,), 2, m, seed, workers=cfg.workers, n_base=n_plus_1
+    )
     out = []
     for k in (1, 2):
-        z = normalize_tree_profile(counts[:, k - 1], n_plus_1 - 1, k)
-        rep = ks_one_sample(z * math.sqrt(2 * k - 1), "normal(0,1)")
+        rep = report.marginals[(k, 0)]
         out.append(
             _entry(
                 f"tree_profile_direct.k{k}",
@@ -488,10 +473,6 @@ _REGISTRY = (
     ("worker_determinism", _test_worker_determinism),
     ("tree_profile_direct", _test_tree_profile_direct),
 )
-
-
-def registry_names() -> tuple:
-    return tuple(name for name, _ in _REGISTRY)
 
 
 def verify_suite(cfg: VerifyConfig) -> dict:
@@ -527,14 +508,7 @@ def verify_suite(cfg: VerifyConfig) -> dict:
         "n_failed_gating": sum(1 for r in gating if not r["pass"]),
         "all_gating_pass": all(r["pass"] for r in gating),
     }
-    core = {
-        "master_seed": int(cfg.master_seed),
-        "quick": bool(cfg.quick),
-        "results": results,
-        "summary": summary,
-    }
-    digest = hashlib.sha256(canonical_json_bytes(core)).hexdigest()
-    return {
+    manifest = {
         "config": {
             "master_seed": int(cfg.master_seed),
             "workers": int(cfg.workers),
@@ -548,8 +522,9 @@ def verify_suite(cfg: VerifyConfig) -> dict:
         },
         "results": results,
         "summary": summary,
-        "determinism_hash": digest,
     }
+    manifest["determinism_hash"] = hashlib.sha256(manifest_core_bytes(manifest)).hexdigest()
+    return manifest
 
 
 def manifest_core_bytes(manifest: dict) -> bytes:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from branchlab.cli import main
 from branchlab.distributions import make_distribution
 from branchlab.renewal import table_from_csv
+from branchlab.verify import manifest_core_bytes
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json"
 
@@ -299,7 +301,10 @@ def quick_manifests(tmp_path_factory):
             ]
         )
         path = directory / "manifest_seed42_quick.json"
-        outs[workers] = (code, json.loads(path.read_text()))
+        manifest = json.loads(path.read_text())
+        core_hash = hashlib.sha256(manifest_core_bytes(manifest)).hexdigest()
+        assert manifest["determinism_hash"] == core_hash
+        outs[workers] = (code, manifest)
     return outs
 
 

@@ -123,7 +123,7 @@ def test_expected_event_count_oracle():
 
 def test_cap_precheck_raises():
     with pytest.raises(CapExceededError):
-        simulate_cmj(EXP1, 2000.0, 3, RngStream(0, 0), event_cap=10**6)
+        simulate_cmj(EXP1, 2000.0, 3, RngStream(0, 0))
 
 
 @contextmanager

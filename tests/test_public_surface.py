@@ -1,10 +1,13 @@
-"""Every public name resolves, and so does every function the bench tracer wraps."""
+"""Every public name resolves, and so does everything the bench tracer wraps or reads."""
 import ast
 from pathlib import Path
 
 import branchlab
 import branchlab.cli  # noqa: F401  (loads every branchlab module, as the bench does)
-from branchlab.distributions import IncrementDistribution
+from branchlab.cmj import simulate_cmj
+from branchlab.distributions import IncrementDistribution, make_distribution
+from branchlab.renewal import renewal_function_grid
+from branchlab.rng import RngStream
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -33,3 +36,13 @@ def test_traced_functions_exist():
     assert missing == []
     for method in _tracer_constant("METHODS"):
         assert method in IncrementDistribution.__dict__
+
+
+def test_counter_attributes_exist():
+    # the result attributes that the tracer's work counters read
+    law = make_distribution("exp(1)")
+    traj = simulate_cmj(law, 3.0, 2, RngStream(0, 0))
+    assert traj.n_events == sum(t.shape[0] for t in traj.times)
+    table = renewal_function_grid(law, 1.0, h=0.1)
+    assert table.n_cells == 10
+    assert table.dist.lattice_span == 0.0

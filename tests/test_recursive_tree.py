@@ -20,6 +20,7 @@ from branchlab.recursive_tree import (
 from branchlab.errors import CapExceededError
 from branchlab.rng import RngStream
 from branchlab.stat_tests import ks_two_sample
+from branchlab.verify import _tree_batch_task
 
 
 def test_single_vertex_tree():
@@ -113,6 +114,13 @@ def test_level_counts_batch_matches_per_tree_profiles():
         d = depths_from_parents(full)
         for k in range(1, 7):
             assert batch[r, k - 1] == np.count_nonzero(d == k)
+
+
+def test_tree_batch_task_level1_counts_root_children():
+    got = _tree_batch_task(0, RngStream(11, 3), n_plus_1=400, k_hi=1, n_trees=20)
+    parents = generate_parent_matrix(20, 400, RngStream(11, 3))
+    assert got.shape == (20, 1)
+    assert np.array_equal(got[:, 0], np.count_nonzero(parents == 0, axis=1))
 
 
 def test_exact_distribution_three_vertices():

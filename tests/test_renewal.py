@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from branchlab.distributions import make_distribution
+from branchlab.distributions import lorden_constant, make_distribution
 from branchlab.errors import TableCoverageError
 from branchlab.renewal import (
     abs_normal_moment,
@@ -98,7 +98,7 @@ def test_uk_deviation_bound_holds(gamma_table):
 def test_uk_deviation_bound_formula(exp_table):
     # k = 1: the bound collapses to the band constant itself
     b = uk_deviation_bound(exp_table, 1)
-    assert np.all(b == exp_table.c)
+    assert np.all(b == lorden_constant(exp_table.dist))
 
 
 def test_interp_and_integral(exp_table):
@@ -229,7 +229,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         renewal_function_grid(EXP1, 0.0)
     with pytest.raises(ValueError):
-        renewal_function_grid(EXP1, 10.0, h=1e-9, max_cells=1000)
+        renewal_function_grid(EXP1, 10.0, h=1e-9)
     bad = ((np.inf, 0.01), (np.nan, 0.01), (10.0, np.inf), (10.0, np.nan), (10.0, 1e-320))
     for t_max, h in bad:
         with pytest.raises(ValueError):

@@ -25,6 +25,9 @@ from .renewal import RenewalTable
 from .rng import RngStream
 
 MAX_EVENTS = 2**28
+# The embedded tree's heap holds one Python tuple per vertex: a birth costs
+# about 10 us and 150 bytes, so 2**22 births take about 45 s and 650 MB.
+MAX_EMBEDDED_BIRTHS = 2**22
 _CELL_BUDGET = 4_000_000
 # A walk block may be redrawn at 2, 4 and 8 times its 10-sigma width. That
 # covers laws as skewed as gamma(1e-3,1e-3) at small budgets; a law that
@@ -213,20 +216,6 @@ def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
     return int(np.searchsorted(traj.times[k - 1], t, side="right"))
 
 
-def ancestor_counts(traj: CmjTrajectory, k: int, t: float) -> np.ndarray:
-    """Generation-k births at or before t, split by first-generation ancestor.
-
-    Entry j-1 counts the events whose ancestor1 equals j; the array covers
-    every first-generation individual of the trajectory.
-    """
-    if not 1 <= k <= traj.k_max:
-        raise ValueError(f"generation must lie in 1..{traj.k_max}")
-    n1 = traj.times[0].shape[0]
-    upto = count_generation(traj, k, t)
-    anc = traj.anc1[k - 1][:upto]
-    return np.bincount(anc, minlength=n1 + 1)[1:]
-
-
 def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
     """Grow a recursive tree in continuous time for n attachments.
 
@@ -238,10 +227,12 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
 
     Draws happen in event order: the root's first clock, then two fresh
     exponentials per birth (the parent's next firing and the child's
-    first).
+    first). Raises CapExceededError above MAX_EMBEDDED_BIRTHS births.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > MAX_EMBEDDED_BIRTHS:
+        raise CapExceededError(f"{n} births exceed the cap {MAX_EMBEDDED_BIRTHS}")
     parent = np.full(n + 1, -1, dtype=np.int64)
     birth_times = np.empty(n)
     if n:

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .distributions import IncrementDistribution, lorden_constant
 from .errors import TableCoverageError
 from .rng import RngStream
 
 MAX_GRID_CELLS = 10**7
-_DIRECT_CONV_LIMIT = 16384
 
 
 @dataclass(frozen=True)
@@ -131,15 +129,13 @@ def renewal_function_grid(
 def _convolve_next(prev: np.ndarray, dU: np.ndarray, lattice: bool) -> np.ndarray:
     n = dU.shape[0]
     kernel = prev[:n] if lattice else 0.5 * (prev[:-1] + prev[1:])
+    size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2n: no wrap-around
     out = np.empty(n + 1)
     out[0] = 0.0
-    if n <= _DIRECT_CONV_LIMIT:
-        out[1:] = np.convolve(kernel, dU)[:n]
-    else:
-        # FFT round-off can dip a row by ~1e-15 of its size; U_k is
-        # nondecreasing, so the running maximum removes only round-off
-        out[1:] = fftconvolve(kernel, dU)[:n]
-        np.maximum.accumulate(out, out=out)
+    out[1:] = np.fft.irfft(np.fft.rfft(kernel, size) * np.fft.rfft(dU, size), size)[:n]
+    # FFT round-off can dip a row by ~1e-15 of its size; U_k is
+    # nondecreasing, so the running maximum removes only round-off
+    np.maximum.accumulate(out, out=out)
     return out
 
 

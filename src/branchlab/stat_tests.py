@@ -1,8 +1,8 @@
 """Statistical verification helpers.
 
-Normalizers map raw level counts onto the scale where the limit laws
-live, the KS routines quantify agreement with those laws, and
-functional_grid_test runs the whole pipeline over a grid of scaled
+normalize_cmj maps raw generation or level counts onto the scale where
+the limit laws live, the KS routines quantify agreement with those laws,
+and functional_grid_test runs the whole pipeline over a grid of scaled
 times against the integrated-noise covariance targets.
 """
 from __future__ import annotations
@@ -85,27 +85,6 @@ def ks_two_sample(a, b) -> KsReport:
     return KsReport(statistic=stat, p_value=p, n_eff=float(n_eff))
 
 
-def normalize_tree_profile(counts, n: int, k: int, s: float = 1.0) -> np.ndarray:
-    """Center and scale level-k counts of a uniform tree of about n^s vertices.
-
-    Maps x to (k-1)! (x - (s ln n)^k / k!) / (ln n)^(k - 1/2): the center
-    is taken at grid fraction s and the scale at the full size n. With
-    s = 1 the counts of an (n+1)-vertex tree are asymptotically normal
-    with variance 1 / (2k - 1); at fraction s the variance is
-    s^(2k-1) / (2k - 1).
-    """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2 so that ln n > 0")
-    if not 0.0 <= s < math.inf:
-        raise ValueError("grid fraction s must be finite and >= 0")
-    x = np.asarray(counts, dtype=float)
-    ln = math.log(n)
-    center = (s * ln) ** k / math.factorial(k)
-    return (x - center) * (math.factorial(k - 1) / ln ** (k - 0.5))
-
-
 def normalize_cmj(
     counts, t: float, k: int, mu: float, sigma2: float, s: float = 1.0
 ) -> np.ndarray:
@@ -116,6 +95,10 @@ def normalize_cmj(
     the scale at the full horizon. On this scale the counts converge to
     the time-s marginal of the integrated-noise limit, a normal with
     variance s^(2k-1) / (2k - 1).
+
+    A uniform recursive tree with n + 1 vertices is the exp(1) process
+    (mu = sigma2 = 1) at time t = ln n, so the same map normalises its
+    level-k counts: (k-1)! (x - (s ln n)^k / k!) / (ln n)^(k - 1/2).
     """
     if k < 1:
         raise ValueError("generation k must be >= 1")
@@ -123,15 +106,11 @@ def normalize_cmj(
         raise ValueError("mu must be positive")
     if sigma2 <= 0.0:
         raise ValueError("normalization needs sigma2 > 0")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if not 0.0 <= s < math.inf:
         raise ValueError("grid fraction s must be finite and >= 0")
     y = np.asarray(counts, dtype=float)
-    if t == 0.0:
-        if np.any(y != 0.0):
-            raise ValueError("counts at t = 0 must all be zero")
-        return np.zeros_like(y)
     center = (s * t) ** k / (math.factorial(k) * mu**k)
     denom = math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1))
     return (y - center) * (math.factorial(k - 1) / denom)
@@ -163,6 +142,14 @@ def empirical_cov(samples, index=None):
     return CovMatrix(index=index, matrix=cov), se
 
 
+def max_dev_se(emp, target, se) -> float:
+    """Largest |emp - target| in units of se; a nonzero gap with se = 0 is inf."""
+    dev = np.abs(emp - target)
+    positive = se > 0.0
+    ratio = np.where(positive, dev / np.where(positive, se, 1.0), np.where(dev == 0.0, 0.0, np.inf))
+    return float(np.max(ratio))
+
+
 def _cmj_grid_task(rep, rng, dist, horizon, s_grid, k_max):
     traj = simulate_cmj(dist, horizon, k_max, rng)
     out = np.empty((k_max, len(s_grid)), dtype=float)
@@ -181,18 +168,13 @@ def _tree_grid_task(rep, rng, n_base, s_grid, k_max):
 class GridTestReport:
     """Joint check of a simulated path against the Gaussian limit."""
 
-    mode: str
     t_grid: tuple
-    k_max: int
-    n_reps: int
-    scale: float
     marginals: dict
     min_marginal_p: float
     max_marginal_stat: float
     cov_target: CovMatrix
     cov_emp: np.ndarray
     max_cov_dev_se: float
-    origin_exact_zero: bool | None
 
 
 def functional_grid_test(
@@ -208,28 +190,27 @@ def functional_grid_test(
 ) -> GridTestReport:
     """Simulate n_reps paths and compare against the limit process.
 
-    t_grid holds fractions of the full horizon in [0, 1]. For mode
-    "cmj" each replicate is a branching trajectory run to `horizon`
-    under `dist`; for mode "tree" each replicate is one tree grown to
-    n_base^s vertices at every grid fraction s. Each (k, s) column goes
-    through normalize_cmj or normalize_tree_profile with that s: centered
-    at fraction s, scaled at the full horizon or size. Across the grid
-    the columns should then match the integrated-noise process:
-    every positive-s marginal is KS-tested against its exact normal
-    law and the joint empirical covariance is compared entrywise with
-    the closed-form target, in units of its standard error.
+    t_grid holds fractions of the full horizon in (0, 1]. For mode "cmj"
+    each replicate is a branching trajectory run to `horizon` under
+    `dist`; for mode "tree" each replicate is one tree grown to n_base^s
+    vertices at every grid fraction s. A tree of n_base = n + 1 vertices
+    is the exp(1) process at time ln n, so both modes go through
+    normalize_cmj: each (k, s) column is centered at fraction s and
+    scaled at the full horizon. Across the grid the columns should then
+    match the integrated-noise process: every marginal is KS-tested
+    against its exact normal law and the joint empirical covariance is
+    compared entrywise with the closed-form target, in units of its
+    standard error.
 
     Deterministic given (seed, n_reps) for any worker count.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("grid fractions must lie in [0, 1]")
+    if not np.all((grid > 0.0) & (grid <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("grid fractions must lie in (0, 1]")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid fractions must be strictly increasing")
-    if not np.any(grid > 0.0):
-        raise ValueError("grid needs at least one positive fraction")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if n_reps < 8:
@@ -250,41 +231,29 @@ def functional_grid_test(
             s_grid=s_grid,
             k_max=int(k_max),
         )
-        norm = partial(normalize_cmj, t=float(horizon), mu=dist.mu, sigma2=dist.sigma2)
-        scale = float(horizon)
+        t, mu, sigma2 = float(horizon), dist.mu, dist.sigma2
     elif mode == "tree":
         if n_base is None:
             raise ValueError("tree mode needs n_base")
-        if n_base < 2:
-            raise ValueError("n_base must be >= 2")
+        if n_base < 3:
+            raise ValueError("n_base must be >= 3 so that ln(n_base - 1) > 0")
         task = partial(
             _tree_grid_task,
             n_base=int(n_base),
             s_grid=s_grid,
             k_max=int(k_max),
         )
-        norm = partial(normalize_tree_profile, n=int(n_base))
-        scale = float(n_base)
+        t, mu, sigma2 = math.log(n_base - 1), 1.0, 1.0
     else:
         raise ValueError(f"unknown mode: {mode!r}")
 
     raw = map_replicated(task, n_reps, seed, workers=workers)
 
     z = np.empty_like(raw)
-    for ki in range(k_max):
-        for si, s in enumerate(s_grid):
-            z[:, ki, si] = norm(raw[:, ki, si], k=ki + 1, s=s)
-
-    origin_ok = None
-    zero_cols = np.flatnonzero(grid == 0.0)
-    if zero_cols.size:
-        origin_ok = bool(np.all(z[:, :, zero_cols] == 0.0))
-
     marginals = {}
     for ki in range(k_max):
         for si, s in enumerate(s_grid):
-            if s <= 0.0:
-                continue
+            z[:, ki, si] = normalize_cmj(raw[:, ki, si], t, ki + 1, mu, sigma2, s=s)
             sd = marginal_sd(ki + 1, s)
             marginals[(ki + 1, si)] = ks_one_sample(z[:, ki, si], lambda x: ndtr(x / sd))
     min_p = min(r.p_value for r in marginals.values())
@@ -293,22 +262,13 @@ def functional_grid_test(
     target = build_cov_matrix(k_max, s_grid)
     flat = z.reshape(n_reps, k_max * len(s_grid))
     emp, se = empirical_cov(flat, index=target.index)
-    dev = np.abs(emp.matrix - target.matrix)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(se > 0.0, dev / np.where(se > 0.0, se, 1.0), np.where(dev == 0.0, 0.0, np.inf))
-    max_dev = float(np.max(ratio))
 
     return GridTestReport(
-        mode=mode,
         t_grid=s_grid,
-        k_max=int(k_max),
-        n_reps=int(n_reps),
-        scale=scale,
         marginals=marginals,
         min_marginal_p=float(min_p),
         max_marginal_stat=float(max_stat),
         cov_target=target,
         cov_emp=emp.matrix,
-        max_cov_dev_se=max_dev,
-        origin_exact_zero=origin_ok,
+        max_cov_dev_se=max_dev_se(emp.matrix, target.matrix, se),
     )

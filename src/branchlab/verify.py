@@ -45,7 +45,7 @@ from .renewal import (
 )
 from .rng import RngStream, mix64
 from .runner import map_replicated
-from .stat_tests import empirical_cov, functional_grid_test, ks_two_sample
+from .stat_tests import empirical_cov, functional_grid_test, ks_two_sample, max_dev_se
 
 _TWO_SAMPLE_CRIT = 1.9495  # sqrt(-ln(alpha/2)/2) at alpha = 0.001
 
@@ -169,28 +169,31 @@ def _test_embedding_ks(cfg, seed):
     return out
 
 
-def _cmj_clt_entries(cfg, seed, label, dist):
-    horizon, k_max = 200.0, 2
+def _unit_fraction_entries(cfg, seed, label, budget, gating, details, mode, **kwargs):
+    """KS entries for the levels 1 and 2 marginals at the full horizon or size."""
     m = 400 if cfg.quick else 2000
-    budget = 0.12 if cfg.quick else 0.08
-    report = functional_grid_test(
-        "cmj", (1.0,), k_max, m, seed, workers=cfg.workers, dist=dist, horizon=horizon
-    )
-    out = []
-    for k in range(1, k_max + 1):
-        rep = report.marginals[(k, 0)]
-        out.append(
-            _entry(
-                f"{label}.k{k}",
-                rep.statistic,
-                budget,
-                True,
-                p_value=rep.p_value,
-                n_eff=rep.n_eff,
-                details={"horizon": horizon, "n_reps": m, "law": dist.descriptor},
-            )
+    report = functional_grid_test(mode, (1.0,), 2, m, seed, workers=cfg.workers, **kwargs)
+    return [
+        _entry(
+            f"{label}.k{k}",
+            rep.statistic,
+            budget,
+            gating,
+            p_value=rep.p_value,
+            n_eff=rep.n_eff,
+            details={**details, "n_reps": m},
         )
-    return out
+        for (k, _), rep in report.marginals.items()
+    ]
+
+
+def _cmj_clt_entries(cfg, seed, label, dist):
+    horizon = 200.0
+    budget = 0.12 if cfg.quick else 0.08
+    details = {"horizon": horizon, "law": dist.descriptor}
+    return _unit_fraction_entries(
+        cfg, seed, label, budget, True, details, "cmj", dist=dist, horizon=horizon
+    )
 
 
 def _test_cmj_clt_exp(cfg, seed):
@@ -303,13 +306,10 @@ def _test_limit_sampler_cov(cfg, seed):
     cov = build_cov_matrix(3, (0.5, 1.0))
     draw = sample_limit(cov, m, RngStream(seed, 0))
     emp, se = empirical_cov(draw.samples, index=cov.index)
-    dev = np.abs(emp.matrix - cov.matrix)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(se > 0, dev / np.where(se > 0, se, 1.0), 0.0)
     return [
         _entry(
             "limit_sampler_cov.dev_se",
-            float(ratio.max()),
+            max_dev_se(emp.matrix, cov.matrix, se),
             4.0,
             True,
             n_eff=m,
@@ -435,25 +435,10 @@ def _test_worker_determinism(cfg, seed):
 
 def _test_tree_profile_direct(cfg, seed):
     n_plus_1 = 100_001
-    m = 400 if cfg.quick else 2000
-    report = functional_grid_test(
-        "tree", (1.0,), 2, m, seed, workers=cfg.workers, n_base=n_plus_1
+    details = {"n": n_plus_1 - 1, "informational": True}
+    return _unit_fraction_entries(
+        cfg, seed, "tree_profile_direct", 0.15, False, details, "tree", n_base=n_plus_1
     )
-    out = []
-    for k in (1, 2):
-        rep = report.marginals[(k, 0)]
-        out.append(
-            _entry(
-                f"tree_profile_direct.k{k}",
-                rep.statistic,
-                0.15,
-                False,
-                p_value=rep.p_value,
-                n_eff=m,
-                details={"n": n_plus_1 - 1, "n_reps": m, "informational": True},
-            )
-        )
-    return out
 
 
 _REGISTRY = (

@@ -128,6 +128,16 @@ def test_cmj_embedded_artifact(tmp_path, capsys):
     assert len(lines) == 13
 
 
+def test_cmj_embedded_past_the_cap_is_usage_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "cmj", "--embedded", "1000000000000", "--output-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmj_rejects_bad_descriptor(tmp_path, capsys):
     code, _, err = run(
         capsys,

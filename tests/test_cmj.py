@@ -7,8 +7,8 @@ import pytest
 
 from branchlab.cli import main
 from branchlab.cmj import (
+    MAX_EMBEDDED_BIRTHS,
     CapExceededError,
-    ancestor_counts,
     count_generation,
     decomposition_terms,
     expected_event_count,
@@ -92,18 +92,6 @@ def test_event_stream_invariants():
         assert np.array_equal(traj.anc1[g], traj.anc1[g - 1][parent])
     for k in (1, 2, 3):
         assert np.count_nonzero(gens == k) == count_generation(traj, k, 8.0)
-
-
-def test_ancestor_counts_partition():
-    traj = simulate_cmj(EXP1, 6.0, 3, RngStream(14, 2))
-    for k in (1, 2, 3):
-        for t in (3.0, 6.0):
-            split = ancestor_counts(traj, k, t)
-            assert split.shape[0] == traj.times[0].shape[0]
-            assert int(split.sum()) == count_generation(traj, k, t)
-    # generation 1 attributes each individual to itself
-    own = ancestor_counts(traj, 1, 4.0)
-    assert np.array_equal(own, (traj.times[0] <= 4.0).astype(np.int64))
 
 
 def test_count_generation_range_errors():
@@ -210,6 +198,13 @@ def test_embedded_tree_shape():
     empty = simulate_embedded_rrt(0, RngStream(6, 1))
     assert empty.tree.parent.shape == (1,)
     assert empty.birth_times.shape == (0,)
+
+
+def test_embedded_tree_refuses_births_past_the_cap():
+    # refused before the parent and birth-time arrays are allocated
+    for n in (MAX_EMBEDDED_BIRTHS + 1, 10**12):
+        with pytest.raises(CapExceededError):
+            simulate_embedded_rrt(n, RngStream(6, 2))
 
 
 def test_embedded_profile_matches_uniform_attachment():

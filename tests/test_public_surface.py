@@ -1,5 +1,8 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import branchlab
@@ -46,3 +49,17 @@ def test_counter_attributes_exist():
     table = renewal_function_grid(law, 1.0, h=0.1)
     assert table.n_cells == 10
     assert table.dist.lattice_span == 0.0
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # scipy.signal costs about a second of start-up; the renewal solver uses numpy's FFT
+    code = "import sys, branchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

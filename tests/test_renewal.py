@@ -223,6 +223,22 @@ def test_higher_renewal_grid_is_idempotent(exp_table):
     assert again is exp_table
 
 
+@pytest.mark.parametrize("law", ["exp(1)", "gamma(2,2)", "uniform(0.5,1.5)", "det(1)"])
+def test_higher_orders_match_direct_convolution(law):
+    # reference: the O(n^2) direct Stieltjes sum; the FFT product differs by round-off only
+    table = build_renewal_table(make_distribution(law), 30.0, h=0.01, k_max=3)
+    lattice = table.dist.lattice_span > 0
+    dU = np.diff(table.uk[0])
+    prev = table.uk[0]
+    for k in (2, 3):
+        kernel = prev[:-1] if lattice else 0.5 * (prev[:-1] + prev[1:])
+        want = np.concatenate([[0.0], np.convolve(kernel, dU)[: dU.shape[0]]])
+        got = table.uk[k - 1]
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        prev = want
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         renewal_function_grid(EXP1, 10.0, h=-0.1)

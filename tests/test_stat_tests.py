@@ -16,8 +16,8 @@ from branchlab.stat_tests import (
     kolmogorov_pvalue,
     ks_one_sample,
     ks_two_sample,
+    max_dev_se,
     normalize_cmj,
-    normalize_tree_profile,
 )
 
 EXP1 = make_distribution("exp(1)")
@@ -82,21 +82,15 @@ def test_two_sample_detects_shift():
 
 
 def test_tree_normalization_center_and_scale():
-    n = 50
-    ln = math.log(n)
-    for k in (1, 2, 3):
-        center = ln**k / math.factorial(k)
-        z = normalize_tree_profile(np.array([center]), n, k)
-        assert z[0] == pytest.approx(0.0, abs=1e-12)
-    x = np.array([3.0, 7.0, 11.0])
-    z = normalize_tree_profile(x, n, 2)
-    want = (x - ln**2 / 2.0) * (1.0 / ln**1.5)
-    assert np.allclose(z, want, rtol=1e-13)
-    # centred at fraction s, still scaled at the full size
-    for s in (0.0, 0.25, 0.5):
-        z = normalize_tree_profile(x, n, 3, s=s)
-        want = (x - (s * ln) ** 3 / 6.0) * (2.0 / ln**2.5)
-        assert np.allclose(z, want, rtol=1e-13, atol=1e-15)
+    # an (n+1)-vertex tree is the exp(1) process at time ln n
+    for n in (50, 3001, 10**5):
+        ln = math.log(n)
+        x = np.array([0.0, 3.0, 7.0, 11.0, 250.0])
+        for k in (1, 2, 3, 4):
+            for s in (0.25, 0.5, 1.0):
+                z = normalize_cmj(x, ln, k, 1.0, 1.0, s=s)
+                want = math.factorial(k - 1) * (x - (s * ln) ** k / math.factorial(k)) / ln ** (k - 0.5)
+                assert np.allclose(z, want, rtol=1e-13, atol=1e-13)
 
 
 def test_cmj_normalization_center_and_scale():
@@ -116,15 +110,11 @@ def test_cmj_normalization_center_and_scale():
 
 def test_normalization_preserves_order():
     counts = RngStream(3, 0).gen.integers(0, 40, size=60)
-    z = normalize_tree_profile(counts, 120, 2)
+    z = normalize_cmj(counts, math.log(120), 2, 1.0, 1.0)
     assert np.array_equal(np.argsort(z, kind="stable"), np.argsort(counts, kind="stable"))
 
 
 def test_normalization_validation():
-    with pytest.raises(ValueError):
-        normalize_tree_profile([1.0], 1, 1)
-    with pytest.raises(ValueError):
-        normalize_tree_profile([1.0], 10, 0)
     with pytest.raises(ValueError):
         normalize_cmj([1.0], 5.0, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -133,12 +123,10 @@ def test_normalization_validation():
         normalize_cmj([1.0], 5.0, 1, 1.0, 0.0)
     with pytest.raises(ValueError):
         normalize_cmj([1.0], -1.0, 1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        normalize_cmj([1.0], 0.0, 1, 1.0, 1.0)
-    assert np.array_equal(normalize_cmj([0.0, 0.0], 0.0, 1, 1.0, 1.0), [0.0, 0.0])
-    for bad in (-0.5, math.inf, math.nan):
+    for bad_t in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            normalize_tree_profile([1.0], 10, 1, s=bad)
+            normalize_cmj([0.0, 0.0], bad_t, 1, 1.0, 1.0)
+    for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             normalize_cmj([1.0], 5.0, 1, 1.0, 1.0, s=bad)
 
@@ -160,21 +148,19 @@ def test_empirical_cov_basics():
 def test_functional_grid_cmj():
     report = functional_grid_test(
         "cmj",
-        (0.0, 0.5, 1.0),
+        (0.5, 1.0),
         k_max=2,
         n_reps=300,
         seed=5,
         dist=EXP1,
         horizon=60.0,
     )
-    assert report.mode == "cmj"
-    assert report.scale == 60.0
-    assert report.origin_exact_zero is True
-    assert set(report.marginals) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert report.t_grid == (0.5, 1.0)
+    assert set(report.marginals) == {(1, 0), (1, 1), (2, 0), (2, 1)}
     assert report.min_marginal_p > 1e-4
     assert report.max_cov_dev_se < 6.0
-    assert report.cov_target.index[:3] == ((1, 0.0), (1, 0.5), (1, 1.0))
-    assert report.cov_emp.shape == (6, 6)
+    assert report.cov_target.index[:2] == ((1, 0.5), (1, 1.0))
+    assert report.cov_emp.shape == (4, 4)
 
 
 def _assert_unit_fraction_marginals(report, zs):
@@ -202,14 +188,15 @@ def test_functional_grid_unit_fraction_marginals_match_normalize_cmj():
     _assert_unit_fraction_marginals(report, zs)
 
 
-def test_functional_grid_unit_fraction_marginals_match_normalize_tree_profile():
+def test_functional_grid_tree_marginals_match_normalize_cmj_at_log_n():
     n_base, n_reps, seed = 3001, 64, 8
     report = functional_grid_test("tree", (1.0,), k_max=2, n_reps=n_reps, seed=seed, n_base=n_base)
     paths = [grow_and_record(n_base, (1.0,), 2, RngStream(seed, r)) for r in range(n_reps)]
     zs = {}
     for k in (1, 2):
         counts = [path.value(0, k) for path in paths]
-        zs[k] = normalize_tree_profile(counts, n_base, k)
+        # n_base vertices: n = n_base - 1 attachments, the exp(1) process at ln n
+        zs[k] = normalize_cmj(counts, math.log(n_base - 1), k, 1.0, 1.0)
     _assert_unit_fraction_marginals(report, zs)
 
 
@@ -239,9 +226,6 @@ def test_functional_grid_tree_mode():
         seed=3,
         n_base=2000,
     )
-    assert report.mode == "tree"
-    assert report.scale == 2000.0
-    assert report.origin_exact_zero is None
     assert set(report.marginals) == {(1, 0), (1, 1)}
     # convergence in ln n is slow, so only coarse agreement is asserted here
     assert report.max_marginal_stat < 0.3
@@ -267,12 +251,36 @@ def test_functional_grid_validation():
         functional_grid_test("paths", (0.5, 1.0), 1, 50, 0, n_base=100)
 
 
-def test_functional_grid_refuses_nan_fraction_before_simulating(monkeypatch):
+@pytest.fixture
+def no_simulation(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("simulated a grid that holds NaN")
+        raise AssertionError("simulated a grid test that must be refused")
 
     monkeypatch.setattr(stat_tests, "map_replicated", never)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+
+
+def test_functional_grid_refuses_nan_fraction_before_simulating(no_simulation):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
         functional_grid_test("cmj", (0.5, math.nan), 1, 50, 0, dist=EXP1, horizon=10.0)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
         functional_grid_test("tree", (0.5, math.nan), 1, 50, 0, n_base=100)
+
+
+def test_functional_grid_refuses_origin_and_tiny_tree_before_simulating(no_simulation):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        functional_grid_test("cmj", (0.0, 1.0), 1, 50, 0, dist=EXP1, horizon=10.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        functional_grid_test("tree", (0.0, 1.0), 1, 50, 0, n_base=100)
+    # a 2-vertex tree sits at ln 1 = 0, where the scale is undefined
+    with pytest.raises(ValueError, match="n_base"):
+        functional_grid_test("tree", (0.5, 1.0), 1, 50, 0, n_base=2)
+
+
+def test_max_dev_se_counts_a_gap_without_error_as_infinite():
+    emp = np.array([[1.0, 0.5], [0.5, 2.0]])
+    target = np.array([[1.0, 0.25], [0.25, 2.0]])
+    assert max_dev_se(emp, target, np.full((2, 2), 0.125)) == pytest.approx(2.0)
+    se = np.array([[0.0, 0.125], [0.125, 0.0]])  # zero SE where the gap is zero
+    assert max_dev_se(emp, target, se) == pytest.approx(2.0)
+    assert max_dev_se(emp, target, np.zeros((2, 2))) == math.inf
+    assert max_dev_se(target, target, np.zeros((2, 2))) == 0.0

@@ -6,6 +6,17 @@ by s, to produce the next generation. Trajectories record, per generation,
 the sorted birth times, the index of the first-generation ancestor, and the
 parent's position in the previous generation.
 
+All walks of one generation are cut from a single flat stream of
+increments. With C the cumulative sum of the stream, the walk of a parent
+born at b starts at some index s and keeps the sums C[i] - C[s] up to
+horizon - b; the first index q past that ends it, and the next parent's
+walk starts at q. Each q is a stopping time of an i.i.d. sequence, so the
+increments after it are fresh and independent of everything before (Gut,
+Stopped Random Walks, 2nd ed., Springer 2009): the walks are independent
+copies, and each draws only one increment that it does not keep. Parents
+are taken in creation order and the last generation is counted straight
+off the stream with searchsorted, so counting needs no sort.
+
 The genealogical embedding ties this to uniform recursive trees: with unit
 rate exponential clocks, when j vertices are alive the next birth happens
 after an Exp(j) wait and attaches to a uniformly chosen live vertex.
@@ -28,11 +39,13 @@ MAX_EVENTS = 2**28
 # The embedded tree's heap holds one Python tuple per vertex: a birth costs
 # about 10 us and 150 bytes, so 2**22 births take about 45 s and 650 MB.
 MAX_EMBEDDED_BIRTHS = 2**22
-_CELL_BUDGET = 4_000_000
-# A walk block may be redrawn at 2, 4 and 8 times its 10-sigma width. That
-# covers laws as skewed as gamma(1e-3,1e-3) at small budgets; a law that
-# needs more cannot pass its budget in bounded memory.
-_MAX_DOUBLINGS = 3
+# The increment stream is drawn in chunks of at most this many values, so
+# extending it costs at most a few MB beyond the walks it must hold.
+_CHUNK = 1 << 18
+# A walk may draw up to 8 times its 10-sigma width. That covers laws as
+# skewed as gamma(1e-3,1e-3) at small budgets; a law that needs more cannot
+# pass its budget in bounded memory.
+_MAX_WIDTHS = 8
 
 
 class CmjTrajectory:
@@ -108,61 +121,118 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     return float(sum(m**k / math.factorial(k) for k in range(1, k_max + 1)))
 
 
-def walk_blocks(dist: IncrementDistribution, rng: RngStream, budgets):
-    """Partial sums of independent walks, one row per budget, in row blocks.
+def _walk_stream(dist: IncrementDistribution, rng: RngStream, budgets):
+    """Cut one flat stream of increments into independent walks, one per budget.
 
-    Yields (lo, cs, inside) for consecutive blocks covering rows 0..n-1:
-    row i of cs is a walk driven past budgets[lo + i], and inside is
-    cs <= budget, the sums that land within it. A block's width covers its
-    first (largest) budget with a 10-sigma margin, so budgets must be
-    nonincreasing. A block that fails to pass every budget is redrawn at
-    double width, at most _MAX_DOUBLINGS times; past that the law cannot
-    drive the walk past the budget and CapExceededError is raised.
+    Yields (lo, C, s, q) for consecutive row blocks. C holds partial sums
+    of the stream. Row lo + i is the walk C[s[i] + 1 :] - C[s[i]]; its
+    sums within budgets[lo + i] are C[s[i] + 1 : q[i]] - C[s[i]], and
+    C[q[i]] is the first sum past it. The next walk starts there:
+    s[i + 1] == q[i]. Each q[i] is a stopping time of the i.i.d. increment
+    sequence, so the increments after it are fresh and the walks are
+    independent copies. Only the overshoot increment of each walk and the
+    unused tail of the last chunk are wasted.
+
+    The stream grows in chunks of at most _CHUNK increments, sized by the
+    draws still expected; the buffer of a single walk longer than that
+    grows geometrically. Budgets must be finite and >= 0. A walk expected
+    to take more than MAX_EVENTS steps is refused up front, and one still
+    within its budget after _MAX_WIDTHS times its 10-sigma width cannot
+    pass it in bounded memory: both raise CapExceededError.
     """
     budgets = np.asarray(budgets, dtype=float)
-    if np.any(budgets[1:] > budgets[:-1]):
-        raise ValueError("walk budgets must be nonincreasing")
+    if not np.all(np.isfinite(budgets) & (budgets >= 0.0)):
+        raise ValueError("walk budgets must be finite and >= 0")
     n = budgets.shape[0]
-    lo = 0
-    while lo < n:
-        m = budgets[lo] / dist.mu
-        cols = int(m + 10.0 * math.sqrt(max(m, 1.0) * dist.sigma2 / dist.mu**2) + 32)
-        rows = max(1, min(n - lo, _CELL_BUDGET // cols))
-        b = budgets[lo : lo + rows, None]
-        for _ in range(_MAX_DOUBLINGS + 1):
-            cs = dist.sample(rng, (rows, cols))
-            np.cumsum(cs, axis=1, out=cs)
-            if bool(np.all(cs[:, -1:] > b)):
+    mean = budgets / dist.mu
+    if n and mean.max() > MAX_EVENTS:
+        raise CapExceededError(f"a walk of {dist.descriptor} expects more than {MAX_EVENTS} steps")
+    var = np.maximum(mean, 1.0) * (dist.sigma2 / dist.mu**2)
+    bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(var) + 32.0)
+    # draws expected from row j on (sums kept plus one overshoot each), 3 sigma high
+    need = np.cumsum((mean + 1.0)[::-1])[::-1] + 3.0 * np.sqrt(np.cumsum(var[::-1])[::-1]) + 32.0
+    b = budgets.tolist()
+    C = np.zeros(1)
+    j = 0
+    while j < n:
+        have = C.shape[0]
+        if have < _CHUNK:
+            size = int(min(max(need[j] - have, have), _CHUNK))
+        else:  # walk j alone fills the buffer: grow it by half or more, not past its bound
+            size = int(min(max(need[j] - have, have // 2), bound[j] + 1 - have))
+        step = dist.sample(rng, size)
+        np.cumsum(step, out=step)
+        step += C[-1]
+        C = np.concatenate((C, step))
+        del step  # from here only C holds the chunk
+        search, item = C.searchsorted, C.item
+        end = C.shape[0]
+        cuts = [0]
+        s = 0
+        i = j
+        while i < n:
+            q = search(item(s) + b[i], "right")
+            if q == end:
                 break
-            cols *= 2
-        else:
+            cuts.append(q)
+            s = q
+            i += 1
+        if i > j:
+            cuts = np.array(cuts)
+            yield j, C, cuts[:-1], cuts[1:]
+            C = C[s:]
+            j = i
+        if j < n and C.shape[0] > bound[j]:
             raise CapExceededError(
-                f"walk of {dist.descriptor} did not pass budget {b[0, 0]:g} "
-                f"after {_MAX_DOUBLINGS} doublings of its width"
+                f"walk of {dist.descriptor} did not pass budget {b[j]:g} "
+                f"within {_MAX_WIDTHS} times its sampling width"
             )
-        yield lo, cs, cs <= b
-        lo += rows
 
 
-def _offspring(
-    dist: IncrementDistribution,
-    rng: RngStream,
-    births: np.ndarray,
-    horizon: float,
-):
-    """Child birth times (<= horizon) for every parent, flattened parent-major.
+def _kept_sums(C, s, q):
+    """Row and partial sum of every kept step in one _walk_stream block, row-major."""
+    n = q - s - 1
+    rows = np.repeat(np.arange(n.shape[0]), n)
+    first = np.repeat(s + 1 - (np.cumsum(n) - n), n)
+    return rows, C[np.arange(rows.shape[0]) + first] - np.repeat(C[s], n)
 
-    Returns (times, parent_rows); births must be nondecreasing.
+
+def _generations(dist, horizon, k_max, rng, leaf=None):
+    """The one generation loop behind simulate_cmj and generation_counts.
+
+    Draws generations 1..k_max parent-major: the parents of generation g+1
+    are generation g in creation order. Returns [(times, parent_rows)] per
+    generation in creation order. Given leaf, the last generation is not
+    built: its _walk_stream blocks go to leaf(births, lo, C, s, q) instead.
+    Raises CapExceededError when the expected or the running event count
+    exceeds MAX_EVENTS, or when a walk cannot pass its budget.
     """
-    times_parts = []
-    rows_parts = []
-    for lo, cs, inside in walk_blocks(dist, rng, horizon - births):
-        rows = lo + np.nonzero(inside)[0]
-        times_parts.append(births[rows] + cs[inside])
-        rows_parts.append(rows)
-    if not times_parts:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    return np.concatenate(times_parts), np.concatenate(rows_parts)
+    if not horizon >= 0:
+        raise ValueError("horizon must be >= 0")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
+        raise CapExceededError("expected event count exceeds the cap")
+    births = np.zeros(1)
+    built = []
+    total = 0
+    for g in range(1, k_max + 1):
+        times, rows = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+        # a birth can pass the horizon by a rounding error; its budget is then 0
+        for lo, C, s, q in _walk_stream(dist, rng, np.maximum(horizon - births, 0.0)):
+            total += int(q[-1] - s[0]) - s.shape[0]
+            if total > MAX_EVENTS:
+                raise CapExceededError("event count exceeds the cap")
+            if g == k_max and leaf is not None:
+                leaf(births, lo, C, s, q)
+                continue
+            r, sums = _kept_sums(C, s, q)
+            times.append(births[lo + r] + sums)
+            rows.append(lo + r)
+        if g < k_max or leaf is None:
+            births = np.concatenate(times)
+            built.append((births, np.concatenate(rows)))
+    return built
 
 
 def simulate_cmj(
@@ -174,35 +244,61 @@ def simulate_cmj(
     """Simulate generations 1..k_max up to the horizon.
 
     Generation-k_max individuals are leaves (their offspring are never
-    drawn). Raises CapExceededError when the expected or actual event count
-    exceeds MAX_EVENTS, or when the law's walk cannot pass its
-    budget (see walk_blocks).
+    drawn). Generations are drawn parent-major in creation order and
+    sorted by birth time only for storage, so the draws are those of
+    generation_counts at the same stream. Raises CapExceededError when the
+    expected or actual event count exceeds MAX_EVENTS, or when the law's
+    walk cannot pass its budget.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
-        raise CapExceededError("expected event count exceeds the cap")
-
-    g1, _ = _offspring(dist, rng, np.zeros(1), horizon)
-    times = [g1]
-    anc1 = [np.arange(1, g1.shape[0] + 1, dtype=np.int64)]
-    parent_idx = [np.full(g1.shape[0], -1, dtype=np.int64)]
-    total = g1.shape[0]
-    for _ in range(2, k_max + 1):
-        prev_t = times[-1]
-        child_t, child_rows = _offspring(dist, rng, prev_t, horizon)
-        order = np.argsort(child_t, kind="stable")
-        child_t = child_t[order]
-        child_rows = child_rows[order]
-        total += child_t.shape[0]
-        if total > MAX_EVENTS:
-            raise CapExceededError("event count exceeds the cap")
-        times.append(child_t)
-        anc1.append(anc1[-1][child_rows])
-        parent_idx.append(child_rows)
+    times, anc1, parent_idx = [], [], []
+    for g, (t, rows) in enumerate(_generations(dist, horizon, k_max, rng)):
+        order = np.argsort(t, kind="stable")
+        if g == 0:
+            anc = np.arange(1, t.shape[0] + 1, dtype=np.int64)
+            parent = np.full(t.shape[0], -1, dtype=np.int64)
+        else:
+            anc = anc[rows]
+            parent = rank[rows[order]]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        times.append(t[order])
+        anc1.append(anc[order])
+        parent_idx.append(parent)
     return CmjTrajectory(dist, horizon, k_max, times, anc1, parent_idx)
+
+
+def generation_counts(
+    dist: IncrementDistribution,
+    horizon: float,
+    k_max: int,
+    fractions,
+    rng: RngStream,
+) -> np.ndarray:
+    """Generation-k births by time s * horizon, for k = 1..k_max and s in fractions.
+
+    Returns a (k_max, len(fractions)) int64 array: entry [k-1, i] is
+    count_generation(simulate_cmj(dist, horizon, k_max, rng), k,
+    fractions[i] * horizon) for the same stream, found without sorting any
+    generation or building the last one. The last generation is compared
+    on the stream's partial sums, not on stored birth times; the two round
+    differently only for a birth within a few ulps of the query time.
+    """
+    fractions = np.asarray(fractions, dtype=float)
+    if fractions.ndim != 1 or not np.all((fractions >= 0.0) & (fractions <= 1.0)):
+        raise ValueError("fractions must be a 1-d sequence in [0, 1]")
+    query = fractions * horizon
+    last = np.zeros(query.shape[0], dtype=np.int64)
+
+    def count_leaves(births, lo, C, s, q):
+        v = C[s, None] + (query - births[lo : lo + s.shape[0], None])
+        last[:] += np.maximum(np.searchsorted(C, v, "right") - s[:, None] - 1, 0).sum(axis=0)
+
+    built = _generations(dist, horizon, k_max, rng, count_leaves)
+    out = np.empty((k_max, query.shape[0]), dtype=np.int64)
+    for g, (t, _) in enumerate(built):
+        out[g] = np.count_nonzero(t[:, None] <= query, axis=0)
+    out[-1] = last
+    return out
 
 
 def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
@@ -254,8 +350,8 @@ def renewal_count_samples(
     if t < 0:
         raise ValueError("t must be >= 0")
     out = np.empty(n_samples, dtype=np.int64)
-    for lo, cs, inside in walk_blocks(dist, rng, np.full(n_samples, float(t))):
-        out[lo : lo + cs.shape[0]] = inside.sum(axis=1)
+    for lo, _, s, q in _walk_stream(dist, rng, np.full(n_samples, float(t))):
+        out[lo : lo + s.shape[0]] = q - s - 1
     return out
 
 

@@ -13,10 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import FactorizationError
+from .errors import CapExceededError, FactorizationError
 from .rng import RngStream
 
 _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
+# build_cov_matrix makes dim^2 / 2 closed-form calls of up to k_max terms
+# each: dim = k_max = 256 takes about 12 s.
+MAX_COV_DIM = 256
+# sample_limit's draws (samples times dim): 2**22 of them take about 13 s
+# and 500 MB through the limit-sample CSV.
+MAX_SAMPLE_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,10 @@ def build_cov_matrix(k_max: int, t_grid) -> CovMatrix:
         raise ValueError("t_grid must be nonempty")
     if any(t < 0 for t in t_grid):
         raise ValueError("t_grid entries must be >= 0")
+    if k_max * len(t_grid) > MAX_COV_DIM:
+        raise CapExceededError(
+            f"covariance of dimension {k_max * len(t_grid)} exceeds the cap {MAX_COV_DIM}"
+        )
     index = tuple((k, t) for k in range(1, k_max + 1) for t in t_grid)
     d = len(index)
     mat = np.empty((d, d))
@@ -132,6 +142,10 @@ def sample_limit(cov: CovMatrix, n_samples: int, rng: RngStream) -> GaussianGrid
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_samples * cov.dim > MAX_SAMPLE_CELLS:
+        raise CapExceededError(
+            f"{n_samples} draws of dimension {cov.dim} exceed the cap {MAX_SAMPLE_CELLS}"
+        )
     L, eps = _factor(cov.matrix)
     z = rng.gen.standard_normal((n_samples, cov.dim))
     return GaussianGridSample(cov.index, z @ L.T, eps)

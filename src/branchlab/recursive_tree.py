@@ -17,6 +17,9 @@ from .errors import CapExceededError
 from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
+# grow_and_record's snapshot cells (grid points times levels): 2**20 of them
+# take about 5.5 s and 210 MB, almost all of it in the profile-path CSV.
+MAX_PATH_CELLS = 2**20
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences
 
@@ -199,6 +202,10 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
         raise ValueError("n_base must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if t_grid.size * k_max > MAX_PATH_CELLS:
+        raise CapExceededError(
+            f"{t_grid.size} grid points times {k_max} levels exceed the cap {MAX_PATH_CELLS}"
+        )
 
     t_last = float(t_grid[-1])
     if t_last * math.log(n_base) > math.log(MAX_TREE_VERTICES) + 1.0:  # before exp can overflow

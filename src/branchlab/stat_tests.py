@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr
 
-from .cmj import count_generation, simulate_cmj
+from .cmj import generation_counts
 from .distributions import IncrementDistribution
 from .gaussian_limit import CovMatrix, build_cov_matrix, marginal_sd
 from .recursive_tree import grow_and_record
@@ -151,12 +151,7 @@ def max_dev_se(emp, target, se) -> float:
 
 
 def _cmj_grid_task(rep, rng, dist, horizon, s_grid, k_max):
-    traj = simulate_cmj(dist, horizon, k_max, rng)
-    out = np.empty((k_max, len(s_grid)), dtype=float)
-    for ki in range(k_max):
-        for si, s in enumerate(s_grid):
-            out[ki, si] = count_generation(traj, ki + 1, s * horizon)
-    return out
+    return generation_counts(dist, horizon, k_max, s_grid, rng).astype(float)
 
 
 def _tree_grid_task(rep, rng, n_base, s_grid, k_max):

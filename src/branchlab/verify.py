@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .cmj import count_generation, simulate_cmj, simulate_embedded_rrt, walk_blocks
+from .cmj import _kept_sums, _walk_stream, generation_counts, simulate_embedded_rrt
 from .distributions import make_distribution
 from .errors import BranchLabError
 from .fileio import canonical_json_bytes
@@ -104,12 +104,12 @@ def _tree_batch_task(rep, rng, n_plus_1, k_hi, n_trees):
 
 
 def _probe_task(rep, rng, dist, horizon, n):
-    traj = simulate_cmj(dist, horizon, 2, rng)
+    counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
     levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
     return np.array(
         [
-            count_generation(traj, 1, horizon),
-            count_generation(traj, 2, horizon),
+            float(counts[0]),
+            float(counts[1]),
             float(levels[0]),
             float(levels[1]),
             rng.gen.random(),
@@ -354,9 +354,10 @@ def _test_renewal_gamma(cfg, seed):
 def _shot_noise_second_moment(dist, table, k, t, m, rng):
     """Monte Carlo mean and SE of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
     vals = np.empty(m, dtype=float)
-    for lo, cs, inside in walk_blocks(dist, rng, np.full(m, t)):
-        contrib = np.where(inside, np.interp(t - cs, table.grid, table.uk[k - 2]), 0.0)
-        vals[lo : lo + cs.shape[0]] = contrib.sum(axis=1) ** 2
+    for lo, C, s, q in _walk_stream(dist, rng, np.full(m, t)):
+        rows, sums = _kept_sums(C, s, q)
+        contrib = np.interp(t - sums, table.grid, table.uk[k - 2])
+        vals[lo : lo + s.shape[0]] = np.bincount(rows, contrib, minlength=s.shape[0]) ** 2
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(m)
 
 
@@ -466,13 +467,15 @@ def verify_suite(cfg: VerifyConfig) -> dict:
     The per-test seed is mix64(master_seed, ordinal), so inserting new
     tests at the end never reshuffles existing results. The manifest's
     determinism_hash covers only seed-determined content (config core,
-    results, summary); wall time and worker count live in the
-    provenance block outside the hash.
+    results, summary); wall time, each group's wall time and the worker
+    count live outside the hash.
     """
     started = time.monotonic()
     results = []
+    group_wall_s = {}
     for ordinal, (group, fn) in enumerate(_REGISTRY):
         test_seed = mix64(cfg.master_seed, ordinal)
+        group_started = time.monotonic()
         try:
             results.extend(fn(cfg, test_seed))
         except (BranchLabError, MemoryError) as exc:
@@ -486,6 +489,7 @@ def verify_suite(cfg: VerifyConfig) -> dict:
                     details={"error": f"{type(exc).__name__}: {exc}"},
                 )
             )
+        group_wall_s[group] = time.monotonic() - group_started
     gating = [r for r in results if r["gating"]]
     summary = {
         "n_results": len(results),
@@ -503,6 +507,7 @@ def verify_suite(cfg: VerifyConfig) -> dict:
             "package": "branchlab",
             "version": __version__,
             "wall_time_s": time.monotonic() - started,
+            "group_wall_s": group_wall_s,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         },
         "results": results,

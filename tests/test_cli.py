@@ -8,7 +8,7 @@ import pytest
 from branchlab.cli import main
 from branchlab.distributions import make_distribution
 from branchlab.renewal import table_from_csv
-from branchlab.verify import manifest_core_bytes
+from branchlab.verify import _REGISTRY, manifest_core_bytes
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json"
 
@@ -220,6 +220,24 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit-sample", "--k-max", "2", "--t-grid", "1", "--m", "1000000000000"],
+        ["covariance", "--k-max", "100000", "--t-grid", "1"],
+        ["profile-path", "--n-base", "10", "--t-grid", "1", "--k-max", "1000000000000"],
+    ],
+)
+def test_sizes_past_their_caps_are_usage_errors(tmp_path, capsys, argv):
+    # each is refused before its array is allocated (14.6 TiB of draws, a
+    # 74.5 GiB matrix, a 7.28 TiB snapshot table)
+    code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_limit_sample_artifact(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -337,3 +355,11 @@ def test_manifest_matches_schema(quick_manifests):
     _, manifest = quick_manifests[1]
     schema = json.loads(SCHEMA_PATH.read_text())
     jsonschema.validate(manifest, schema)
+
+
+def test_manifest_times_every_group(quick_manifests):
+    _, manifest = quick_manifests[1]
+    timings = manifest["provenance"]["group_wall_s"]
+    assert sorted(timings) == sorted(group for group, _ in _REGISTRY)
+    assert all(seconds >= 0 for seconds in timings.values())
+    assert sum(timings.values()) <= manifest["provenance"]["wall_time_s"] + 1e-6

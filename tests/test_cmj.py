@@ -1,6 +1,10 @@
 import math
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,14 @@ from branchlab.cli import main
 from branchlab.cmj import (
     MAX_EMBEDDED_BIRTHS,
     CapExceededError,
+    _walk_stream,
     count_generation,
     decomposition_terms,
     expected_event_count,
+    generation_counts,
+    renewal_count_samples,
     simulate_cmj,
     simulate_embedded_rrt,
-    walk_blocks,
 )
 from branchlab.distributions import make_distribution
 from branchlab.errors import TableCoverageError
@@ -25,7 +31,9 @@ from branchlab.stat_tests import ks_two_sample
 
 EXP1 = make_distribution("exp(1)")
 GAMMA22 = make_distribution("gamma(2,2)")
+UNIFORM = make_distribution("uniform(0.5,1.5)")
 DET1 = make_distribution("det(1)")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -143,29 +151,124 @@ def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# Runs the refusal in a fresh interpreter so that its peak RSS is its own.
+_REFUSAL_PROBE = """
+import resource
+from branchlab.cmj import simulate_cmj
+from branchlab.distributions import make_distribution
+from branchlab.errors import CapExceededError
+from branchlab.rng import RngStream
+try:
+    simulate_cmj(make_distribution("gamma(1e-9,1e-9)"), 10.0, 2, RngStream(0, 0))
+    print("not refused")
+except CapExceededError:
+    print("refused")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_refusal_stays_within_bounded_memory():
+    # the refusal peaked near 211 MB, about 80 MB of it the interpreter with
+    # numpy; before the walks were cut from one bounded stream it took 521 MB
+    out = subprocess.run(
+        [sys.executable, "-c", _REFUSAL_PROBE],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    verdict, peak_mb = out.stdout.split()
+    assert verdict == "refused"
+    assert int(peak_mb) < 300
+
+
 @pytest.mark.parametrize("law", [EXP1, GAMMA22, DET1], ids=lambda d: d.descriptor)
-def test_walk_blocks_cover_rows_and_pass_budgets(law):
-    # enough rows that 4e6-cell blocks split them into several blocks
+def test_walk_stream_cuts_cover_rows_and_pass_budgets(law):
+    # enough rows that the stream is drawn and cut in several chunks
     budgets = np.linspace(60.0, 0.0, 120_001)
     next_row = 0
     counts = []
-    for lo, cs, inside in walk_blocks(law, RngStream(2, 0), budgets):
+    for lo, C, s, q in _walk_stream(law, RngStream(2, 0), budgets):
         assert lo == next_row
-        b = budgets[lo : lo + cs.shape[0]]
-        assert np.all(cs[:, -1] > b)
-        assert np.array_equal(inside, cs <= b[:, None])
-        counts.append(inside.sum(axis=1))
-        next_row += cs.shape[0]
+        b = budgets[lo : lo + s.shape[0]]
+        assert np.array_equal(s[1:], q[:-1])
+        assert np.all(q > s)
+        assert np.all(C[q] - C[s] > b)
+        kept = q - s - 1
+        assert np.all(C[s + kept] - C[s] <= b)
+        counts.append(kept)
+        next_row += s.shape[0]
     assert next_row == budgets.shape[0]
     assert len(counts) > 1
     if law is DET1:
         assert np.array_equal(np.concatenate(counts), np.floor(budgets))
+    assert list(_walk_stream(law, RngStream(2, 0), [])) == []
 
 
-def test_walk_blocks_budget_validation():
+def test_walk_stream_budget_rules():
+    # a walk longer than one chunk grows its buffer and still counts exactly
+    assert renewal_count_samples(DET1, 300_000.5, 2, RngStream(0, 0)).tolist() == [300_000] * 2
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            renewal_count_samples(EXP1, t, 10, RngStream(0, 0))
     with pytest.raises(ValueError):
-        list(walk_blocks(EXP1, RngStream(0, 0), [1.0, 2.0]))
-    assert list(walk_blocks(EXP1, RngStream(0, 0), [])) == []
+        list(_walk_stream(EXP1, RngStream(0, 0), [1.0, -1.0]))
+    # mean step 1e-18: the walk would take about 1e19 steps, so it is refused before drawing
+    with pytest.raises(CapExceededError):
+        renewal_count_samples(make_distribution("gamma(1e-9,1e9)"), 10.0, 1, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("law", [EXP1, GAMMA22, UNIFORM, DET1], ids=lambda d: d.descriptor)
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_generation_counts_match_the_trajectory(law, k_max):
+    fractions = (0.5, 1.0)
+    horizon = 12.5
+    for r in range(25):
+        traj = simulate_cmj(law, horizon, k_max, RngStream(17, r))
+        expected = [
+            [count_generation(traj, k, s * horizon) for s in fractions]
+            for k in range(1, k_max + 1)
+        ]
+        got = generation_counts(law, horizon, k_max, fractions, RngStream(17, r))
+        assert got.dtype == np.int64
+        assert got.tobytes() == np.array(expected, dtype=np.int64).tobytes()
+
+
+def test_generation_counts_det_closed_form():
+    # det(1) births of generation k are sums of k unit steps: C(floor(t), k) of them by t
+    horizon, fractions = 10.5, (0.25, 0.5, 1.0)
+    got = generation_counts(DET1, horizon, 3, fractions, RngStream(0, 0))
+    expected = [[math.comb(math.floor(s * horizon), k) for s in fractions] for k in (1, 2, 3)]
+    assert np.array_equal(got, expected)
+
+
+def test_generation_counts_exp_means():
+    # for exp(1) the generation-k mean at time t is t^k / k!
+    m, horizon = 400, 15.0
+    fractions = (0.5, 1.0)
+    samples = np.stack(
+        [generation_counts(EXP1, horizon, 3, fractions, RngStream(23, r)) for r in range(m)]
+    )
+    for k in (1, 2, 3):
+        for i, s in enumerate(fractions):
+            col = samples[:, k - 1, i]
+            se = float(np.std(col, ddof=1)) / math.sqrt(m)
+            target = (s * horizon) ** k / math.factorial(k)
+            assert abs(float(np.mean(col)) - target) < 4 * se
+
+
+def test_generation_counts_validation():
+    with pytest.raises(ValueError):
+        generation_counts(EXP1, 5.0, 2, (0.5, 1.5), RngStream(0, 0))
+    with pytest.raises(ValueError):
+        generation_counts(EXP1, 5.0, 2, (math.nan,), RngStream(0, 0))
+    with pytest.raises(ValueError):
+        generation_counts(EXP1, math.nan, 2, (1.0,), RngStream(0, 0))
+    with pytest.raises(ValueError):
+        generation_counts(EXP1, 5.0, 0, (1.0,), RngStream(0, 0))
+    with pytest.raises(CapExceededError):
+        generation_counts(EXP1, 2000.0, 3, (1.0,), RngStream(0, 0))
 
 
 def test_embedded_root_child_time():

@@ -17,7 +17,7 @@ import numpy as np
 from .cmj import CmjTrajectory, EmbeddedTree
 from .gaussian_limit import CovMatrix, GaussianGridSample
 from .recursive_tree import ProfilePath, RecursiveTree
-from .renewal import RenewalTable, table_to_csv_rows
+from .renewal import RenewalTable
 
 _FLOAT_FMT = "%.17g"
 
@@ -26,18 +26,10 @@ def format_float(x) -> str:
     return _FLOAT_FMT % float(x)
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    return str(v)
-
-
-def _csv_text(rows) -> str:
-    return "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+def _float_lines(values: np.ndarray) -> list[str]:
+    """One CSV line per row of a 2-d float array, one format string per row."""
+    fmt = ",".join([_FLOAT_FMT] * values.shape[1]) + "\n"
+    return [fmt % tuple(row) for row in values.tolist()]
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -64,11 +56,13 @@ def write_tree_csv(path, tree: RecursiveTree) -> None:
 
 
 def write_profile_path_csv(path, profile_path: ProfilePath) -> None:
-    rows = [("t", "k", "count")]
-    for ti, t in enumerate(profile_path.t_grid):
-        for k in range(1, profile_path.k_max + 1):
-            rows.append((float(t), k, profile_path.value(ti, k)))
-    atomic_write_text(path, _csv_text(rows))
+    """One row per grid point and level: t,k,count."""
+    rows = [
+        "%.17g,%d,%d\n" % (t, k, c)
+        for t, counts in zip(profile_path.t_grid.tolist(), profile_path.values.tolist())
+        for k, c in enumerate(counts, start=1)
+    ]
+    atomic_write_text(path, "t,k,count\n" + "".join(rows))
 
 
 def write_trajectory_csv(path, traj: CmjTrajectory) -> None:
@@ -86,7 +80,10 @@ def write_embedded_tree_csv(path, emb: EmbeddedTree) -> None:
 
 
 def write_renewal_table_csv(path, table: RenewalTable) -> None:
-    atomic_write_text(path, _csv_text(table_to_csv_rows(table)))
+    """One row per grid point: t,U,U2,...,Uk."""
+    header = ",".join(["t", "U"] + [f"U{k}" for k in range(2, table.k_max + 1)])
+    rows = _float_lines(np.column_stack((table.grid, table.uk.T)))
+    atomic_write_text(path, header + "\n" + "".join(rows))
 
 
 def index_label(entry) -> str:
@@ -97,17 +94,14 @@ def index_label(entry) -> str:
 def write_cov_csv(path, cov: CovMatrix) -> None:
     """Square layout with the index set as both header and row labels."""
     labels = [index_label(e) for e in cov.index]
-    rows = [["index"] + labels]
-    for a, lab in enumerate(labels):
-        rows.append([lab] + [float(v) for v in cov.matrix[a]])
-    atomic_write_text(path, _csv_text(rows))
+    rows = [f"{lab},{line}" for lab, line in zip(labels, _float_lines(cov.matrix))]
+    atomic_write_text(path, ",".join(["index"] + labels) + "\n" + "".join(rows))
 
 
 def write_samples_csv(path, sample: GaussianGridSample) -> None:
     """One row per draw, columns labeled by the index set."""
-    rows = [[index_label(e) for e in sample.index]]
-    rows.extend([float(v) for v in row] for row in sample.samples)
-    atomic_write_text(path, _csv_text(rows))
+    header = ",".join(index_label(e) for e in sample.index)
+    atomic_write_text(path, header + "\n" + "".join(_float_lines(sample.samples)))
 
 
 def canonical_json_bytes(obj) -> bytes:

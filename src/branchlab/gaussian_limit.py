@@ -20,8 +20,8 @@ _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
 # build_cov_matrix makes dim^2 / 2 closed-form calls of up to k_max terms
 # each: dim = k_max = 256 takes about 12 s.
 MAX_COV_DIM = 256
-# sample_limit's draws (samples times dim): 2**22 of them take about 13 s
-# and 500 MB through the limit-sample CSV.
+# sample_limit's draws (samples times dim): 2**22 of them take about 3 s
+# and 510 MB through the limit-sample CSV (2 cores).
 MAX_SAMPLE_CELLS = 2**22
 
 

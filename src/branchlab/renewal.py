@@ -285,15 +285,6 @@ def moment_ratio(
     return num / den
 
 
-def table_to_csv_rows(table: RenewalTable):
-    """Yield header + rows for the t,U,U2,...,Uk CSV layout."""
-    header = ["t", "U"] + [f"U{k}" for k in range(2, table.k_max + 1)]
-    yield header
-    grid = table.grid
-    for i in range(grid.shape[0]):
-        yield [grid[i]] + [table.uk[k, i] for k in range(table.k_max)]
-
-
 def table_from_csv(path: str, dist: IncrementDistribution) -> RenewalTable:
     """Rebuild a table from the t,U,U2,... CSV layout."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)

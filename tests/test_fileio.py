@@ -1,13 +1,14 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from branchlab.cli import main
 from branchlab.cmj import simulate_cmj, simulate_embedded_rrt
 from branchlab.distributions import make_distribution
 from branchlab.fileio import (
-    _csv_text,
     atomic_write_text,
     canonical_json_bytes,
     format_float,
@@ -25,6 +26,21 @@ from branchlab.gaussian_limit import build_cov_matrix, sample_limit
 from branchlab.recursive_tree import generate_rrt, grow_and_record
 from branchlab.renewal import build_renewal_table, table_from_csv
 from branchlab.rng import RngStream
+
+
+def _cell(v) -> str:
+    """Reference formatter: one cell at a time, dispatching on its type."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    return str(v)
+
+
+def _csv_text(rows) -> str:
+    return "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
 
 
 def test_format_float_round_trips():
@@ -193,3 +209,68 @@ def test_atomic_write_accepts_str_paths(tmp_path):
     atomic_write_text(target, "x\n")
     with open(target) as f:
         assert f.read() == "x\n"
+
+
+def _tree_rows(n, seed):
+    parent = generate_rrt(n + 1, RngStream(seed, 0)).parent
+    return [("vertex", "parent")] + [(i, parent[i]) for i in range(1, n + 1)]
+
+
+def _profile_path_rows(n_base, grid, k_max, seed):
+    pp = grow_and_record(n_base, grid, k_max, RngStream(seed, 0))
+    rows = [("t", "k", "count")]
+    for ti, t in enumerate(pp.t_grid):
+        rows.extend((float(t), k, pp.value(ti, k)) for k in range(1, k_max + 1))
+    return rows
+
+
+def _samples_rows(k_max, grid, m, seed):
+    out = sample_limit(build_cov_matrix(k_max, grid), m, RngStream(seed, 0))
+    return [[index_label(e) for e in out.index]] + [list(row) for row in out.samples]
+
+
+def _cov_rows(k_max, grid):
+    cov = build_cov_matrix(k_max, grid)
+    labels = [index_label(e) for e in cov.index]
+    return [["index"] + labels] + [[lab] + list(cov.matrix[a]) for a, lab in enumerate(labels)]
+
+
+def _renewal_rows(dist, t_max, h, k_max):
+    table = build_renewal_table(make_distribution(dist), t_max, h=h, k_max=k_max)
+    rows = [["t", "U"] + [f"U{k}" for k in range(2, k_max + 1)]]
+    rows.extend([t] + list(table.uk[:, i]) for i, t in enumerate(table.grid))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["gen-tree", "--n", "3000", "--seed", "3"], lambda: _tree_rows(3000, 3)),
+        (
+            ["profile-path", "--n-base", "5000", "--t-grid", "0.3,0.6,1", "--k-max", "5",
+             "--seed", "4"],
+            lambda: _profile_path_rows(5000, (0.3, 0.6, 1.0), 5, 4),
+        ),
+        (
+            ["limit-sample", "--k-max", "3", "--t-grid", "0.25,0.5,1", "--m", "400",
+             "--seed", "5"],
+            lambda: _samples_rows(3, (0.25, 0.5, 1.0), 400, 5),
+        ),
+        (
+            ["covariance", "--k-max", "4", "--t-grid", "0.3,0.7,1"],
+            lambda: _cov_rows(4, (0.3, 0.7, 1.0)),
+        ),
+        (
+            ["renewal-table", "--dist", "gamma(2,2)", "--t-max", "6", "--h", "0.05",
+             "--k-max", "3"],
+            lambda: _renewal_rows("gamma(2,2)", 6.0, 0.05, 3),
+        ),
+    ],
+    ids=["gen-tree", "profile-path", "limit-sample", "covariance", "renewal-table"],
+)
+def test_cli_artifacts_match_cell_by_cell_text(tmp_path, capsys, argv, rows):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    written = Path(capsys.readouterr().out.strip())
+    expected = _csv_text(rows()).encode("utf-8")
+    assert expected.count(b"\n") > 10
+    assert written.read_bytes() == expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from branchlab.recursive_tree import (
+    _DEPTH_CHUNK,
     _DRAW_BLOCK,
     MAX_TREE_VERTICES,
     ProfileVector,
@@ -69,6 +70,48 @@ def test_depths_match_naive_walk():
             naive[i] = naive[parent[i]] + 1
         assert d.dtype == np.int64
         assert np.array_equal(d, naive)
+
+
+def _naive_depths(parent):
+    naive = [0] * len(parent)
+    for i, p in enumerate(parent[1:].astype(np.int64).tolist(), start=1):
+        naive[i] = naive[p] + 1
+    return np.array(naive, dtype=np.int64)
+
+
+def test_depths_match_naive_walk_across_chunks():
+    V = 3 * _DEPTH_CHUNK + 123  # four chunks, the last one partial
+    starts = np.arange(1, V, _DEPTH_CHUNK)
+    chains = np.arange(-1, V - 1, dtype=np.int64)
+    chains[starts] = 0  # one in-chunk chain per chunk, hung off the root
+    relay = np.arange(-1, V - 1, dtype=np.int64)
+    relay[starts[1:]] = starts[1:] - _DEPTH_CHUNK // 2  # chains hung mid-chain
+    uniform = generate_rrt(V, RngStream(9, 0)).parent
+    shapes = {
+        "uniform": uniform,
+        "uniform as int32": uniform.astype(np.int32),
+        "uniform as float64": uniform.astype(np.float64),
+        "path": np.arange(-1, V - 1, dtype=np.int64),
+        "star": np.r_[-1, np.zeros(V - 1, dtype=np.int64)],
+        "chains": chains,
+        "relay": relay,
+    }
+    for name, parent in shapes.items():
+        d = depths_from_parents(parent)
+        assert d.dtype == np.int64, name
+        assert np.array_equal(d, _naive_depths(parent)), name
+
+
+def test_depths_reject_trees_out_of_recursive_order():
+    # a valid tree (vertex 2 is the root's child, vertex 1 its child) that
+    # is not listed in recursive order
+    with pytest.raises(ValueError):
+        depths_from_parents(np.array([-1, 2, 0], dtype=np.int64))
+    parent = np.arange(-1, 2 * _DEPTH_CHUNK, dtype=np.int64)
+    parent[_DEPTH_CHUNK + 5] = _DEPTH_CHUNK + 6  # forward edge in the second chunk
+    parent[_DEPTH_CHUNK + 6] = 0
+    with pytest.raises(ValueError):
+        depths_from_parents(parent)
 
 
 def test_depths_reject_parents_that_are_not_a_tree():

@@ -3,11 +3,13 @@
 Subcommands cover the exportable objects (gen-tree, profile-path, cmj,
 renewal-table, limit-sample, covariance) plus the one-shot verification
 suite (verify). Option values resolve as: explicit flag, then JSON
-config file entry, then built-in default. Artifacts land in
---output-dir, the BRANCHLAB_OUTPUT_DIR environment variable, or the
-working directory, in that order of preference.
+config file entry, then built-in default; config entries are parsed as
+the flags of the same name. Artifacts land in --output-dir, the
+BRANCHLAB_OUTPUT_DIR environment variable, or the working directory, in
+that order of preference.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3
+unexpected error (traceback on stderr).
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -64,23 +67,33 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", help="directory for artifacts")
     common.add_argument("--out", help="artifact filename")
 
-    p = sub.add_parser("gen-tree", parents=[common], help="sample one uniform recursive tree")
-    p.add_argument("--n", type=int, help="number of attachments (tree has n+1 vertices)")
-    p.add_argument("--seed", type=int)
+    def command(name, help):
+        # exact option names only, so a config key cannot abbreviate a flag
+        return sub.add_parser(name, parents=[common], help=help, allow_abbrev=False)
 
-    p = sub.add_parser(
-        "profile-path", parents=[common], help="level counts of one growing tree"
+    p = command("gen-tree", "sample one uniform recursive tree")
+    p.add_argument(
+        "--n", type=int, default=100, help="number of attachments (tree has n+1 vertices)"
     )
-    p.add_argument("--n-base", type=int, help="size base; snapshots at floor(n_base**t)")
-    p.add_argument("--t-grid", help="comma-separated exponents, strictly increasing")
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("cmj", parents=[common], help="simulate a branching trajectory")
-    p.add_argument("--dist", help="increment law, e.g. exp(1) or gamma(2,2)")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--seed", type=int)
+    p = command("profile-path", "level counts of one growing tree")
+    p.add_argument(
+        "--n-base", type=int, default=10_000, help="size base; snapshots at floor(n_base**t)"
+    )
+    p.add_argument(
+        "--t-grid",
+        default="0.25,0.5,0.75,1",
+        help="comma-separated exponents, strictly increasing",
+    )
+    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = command("cmj", "simulate a branching trajectory")
+    p.add_argument("--dist", default="exp(1)", help="increment law, e.g. exp(1) or gamma(2,2)")
+    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--embedded",
         type=int,
@@ -88,182 +101,135 @@ def _build_parser() -> argparse.ArgumentParser:
         help="instead: continuous-time tree growth for N births",
     )
 
-    p = sub.add_parser("renewal-table", parents=[common], help="tabulate U, U2, ..., Uk")
-    p.add_argument("--dist")
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--k-max", type=int)
+    p = command("renewal-table", "tabulate U, U2, ..., Uk")
+    p.add_argument("--dist", default="exp(1)")
+    p.add_argument("--t-max", type=float, default=50.0)
+    p.add_argument("--h", type=float, default=0.01)
+    p.add_argument("--k-max", type=int, default=2)
 
-    p = sub.add_parser(
-        "limit-sample", parents=[common], help="draw from the Gaussian limit on a grid"
-    )
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--t-grid")
-    p.add_argument("--m", type=int, help="number of draws")
-    p.add_argument("--seed", type=int)
+    p = command("limit-sample", "draw from the Gaussian limit on a grid")
+    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--t-grid", default="0.5,1")
+    p.add_argument("--m", type=int, default=1000, help="number of draws")
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser(
-        "covariance", parents=[common], help="closed-form limit covariance"
-    )
+    p = command("covariance", "closed-form limit covariance")
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--s", type=float)
     p.add_argument("--u", type=float)
-    p.add_argument("--k-max", type=int, help="with --t-grid: export the full matrix")
+    p.add_argument("--k-max", type=int, default=2, help="with --t-grid: export the full matrix")
     p.add_argument("--t-grid")
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance registry")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--quick", action="store_true", default=None)
+    p = command("verify", "run the acceptance registry")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--quick", action="store_true")
 
     return parser
 
 
-_DEFAULTS = {
-    "n": 100,
-    "n_base": 10_000,
-    "t_grid": None,
-    "k_max": 2,
-    "seed": 0,
-    "dist": "exp(1)",
-    "horizon": 10.0,
-    "t_max": 50.0,
-    "h": 0.01,
-    "m": 1000,
-    "workers": 1,
-    "quick": False,
-    "embedded": None,
-    "k": None,
-    "l": None,
-    "s": None,
-    "u": None,
-    "out": None,
-    "output_dir": None,
-}
+def _config_flags(path: str) -> list:
+    """The flags a user would type for the JSON object in a config file.
+
+    A value becomes --key=value, a list its comma-joined items, true a bare
+    switch; false and null add nothing, so the default stands.
+    """
+    with open(path, encoding="utf-8") as f:
+        loaded = json.load(f)
+    if not isinstance(loaded, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = []
+    for key, value in loaded.items():
+        if not key or "=" in key:  # "--" ends the options; "--n=5" carries a value
+            raise ValueError(f"config key {key!r} is not a flag name")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, list):
+            flags.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif value is not None and value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-class _Options:
-    """Flag > config-file > default resolution for one invocation."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = {}
-        path = self._args.get("config")
-        if path:
-            with open(path, encoding="utf-8") as f:
-                loaded = json.load(f)
-            if not isinstance(loaded, dict):
-                raise ValueError("config file must hold a JSON object")
-            self._config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-
-    def get(self, key: str):
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            return self._config[key]
-        return _DEFAULTS.get(key)
+def _resolve_out(args, default_name: str) -> str:
+    if args.out and (os.path.isabs(args.out) or os.sep in args.out):
+        return args.out
+    directory = args.output_dir or os.environ.get("BRANCHLAB_OUTPUT_DIR") or "."
+    return os.path.join(directory, args.out or default_name)
 
 
-def _resolve_out(opts: _Options, default_name: str) -> str:
-    out = opts.get("out")
-    if out and (os.path.isabs(out) or os.sep in out):
-        return out
-    directory = opts.get("output_dir") or os.environ.get("BRANCHLAB_OUTPUT_DIR") or "."
-    return os.path.join(directory, out or default_name)
-
-
-def _cmd_gen_tree(opts) -> int:
-    n = int(opts.get("n"))
-    seed = int(opts.get("seed"))
-    tree = generate_rrt(n + 1, RngStream(seed, 0))
-    path = _resolve_out(opts, f"tree_n{n}_seed{seed}.csv")
+def _cmd_gen_tree(args) -> int:
+    tree = generate_rrt(args.n + 1, RngStream(args.seed, 0))
+    path = _resolve_out(args, f"tree_n{args.n}_seed{args.seed}.csv")
     write_tree_csv(path, tree)
     print(path)
     return 0
 
 
-def _cmd_profile_path(opts) -> int:
-    n_base = int(opts.get("n_base"))
-    grid = opts.get("t_grid")
-    grid = _parse_grid(grid) if isinstance(grid, str) else (grid or (0.25, 0.5, 0.75, 1.0))
-    k_max = int(opts.get("k_max"))
-    seed = int(opts.get("seed"))
-    ppath = grow_and_record(n_base, np.asarray(grid, dtype=float), k_max, RngStream(seed, 0))
-    path = _resolve_out(opts, f"profile_path_b{n_base}_seed{seed}.csv")
+def _cmd_profile_path(args) -> int:
+    grid = np.asarray(_parse_grid(args.t_grid), dtype=float)
+    ppath = grow_and_record(args.n_base, grid, args.k_max, RngStream(args.seed, 0))
+    path = _resolve_out(args, f"profile_path_b{args.n_base}_seed{args.seed}.csv")
     write_profile_path_csv(path, ppath)
     print(path)
     return 0
 
 
-def _cmd_cmj(opts) -> int:
-    seed = int(opts.get("seed"))
-    embedded = opts.get("embedded")
-    if embedded is not None:
-        emb = simulate_embedded_rrt(int(embedded), RngStream(seed, 0))
-        path = _resolve_out(opts, f"embedded_n{int(embedded)}_seed{seed}.csv")
+def _cmd_cmj(args) -> int:
+    if args.embedded is not None:
+        emb = simulate_embedded_rrt(args.embedded, RngStream(args.seed, 0))
+        path = _resolve_out(args, f"embedded_n{args.embedded}_seed{args.seed}.csv")
         write_embedded_tree_csv(path, emb)
         print(path)
         return 0
-    dist = make_distribution(str(opts.get("dist")))
-    horizon = float(opts.get("horizon"))
-    k_max = int(opts.get("k_max"))
-    traj = simulate_cmj(dist, horizon, k_max, RngStream(seed, 0))
-    path = _resolve_out(opts, f"cmj_{dist.kind}_T{format_float(horizon)}_seed{seed}.csv")
+    dist = make_distribution(args.dist)
+    traj = simulate_cmj(dist, args.horizon, args.k_max, RngStream(args.seed, 0))
+    path = _resolve_out(
+        args, f"cmj_{dist.kind}_T{format_float(args.horizon)}_seed{args.seed}.csv"
+    )
     write_trajectory_csv(path, traj)
     print(path)
     return 0
 
 
-def _cmd_renewal_table(opts) -> int:
-    dist = make_distribution(str(opts.get("dist")))
-    table = build_renewal_table(
-        dist, float(opts.get("t_max")), h=float(opts.get("h")), k_max=int(opts.get("k_max"))
-    )
-    path = _resolve_out(opts, f"renewal_{dist.kind}_k{table.k_max}.csv")
+def _cmd_renewal_table(args) -> int:
+    dist = make_distribution(args.dist)
+    table = build_renewal_table(dist, args.t_max, h=args.h, k_max=args.k_max)
+    path = _resolve_out(args, f"renewal_{dist.kind}_k{table.k_max}.csv")
     write_renewal_table_csv(path, table)
     print(path)
     return 0
 
 
-def _cmd_limit_sample(opts) -> int:
-    grid = opts.get("t_grid")
-    grid = _parse_grid(grid) if isinstance(grid, str) else (grid or (0.5, 1.0))
-    cov = build_cov_matrix(int(opts.get("k_max")), grid)
-    seed = int(opts.get("seed"))
-    draw = sample_limit(cov, int(opts.get("m")), RngStream(seed, 0))
-    path = _resolve_out(opts, f"limit_samples_seed{seed}.csv")
+def _cmd_limit_sample(args) -> int:
+    cov = build_cov_matrix(args.k_max, _parse_grid(args.t_grid))
+    draw = sample_limit(cov, args.m, RngStream(args.seed, 0))
+    path = _resolve_out(args, f"limit_samples_seed{args.seed}.csv")
     write_samples_csv(path, draw)
     print(path)
     return 0
 
 
-def _cmd_covariance(opts) -> int:
-    k, l, s, u = opts.get("k"), opts.get("l"), opts.get("s"), opts.get("u")
-    if k is not None and l is not None and s is not None and u is not None:
-        print(format_float(cov_rkl(int(k), int(l), float(s), float(u))))
+def _cmd_covariance(args) -> int:
+    if None not in (args.k, args.l, args.s, args.u):
+        print(format_float(cov_rkl(args.k, args.l, args.s, args.u)))
         return 0
-    grid = opts.get("t_grid")
-    if grid is not None:
-        grid = _parse_grid(grid) if isinstance(grid, str) else grid
-        cov = build_cov_matrix(int(opts.get("k_max")), grid)
-        path = _resolve_out(opts, f"covariance_k{int(opts.get('k_max'))}.csv")
+    if args.t_grid is not None:
+        cov = build_cov_matrix(args.k_max, _parse_grid(args.t_grid))
+        path = _resolve_out(args, f"covariance_k{args.k_max}.csv")
         write_cov_csv(path, cov)
         print(path)
         return 0
     raise ValueError("covariance needs either --k/--l/--s/--u or --k-max/--t-grid")
 
 
-def _cmd_verify(opts) -> int:
-    cfg = VerifyConfig(
-        master_seed=int(opts.get("seed")),
-        workers=int(opts.get("workers")),
-        quick=bool(opts.get("quick")),
-    )
+def _cmd_verify(args) -> int:
+    cfg = VerifyConfig(master_seed=args.seed, workers=args.workers, quick=args.quick)
     manifest = verify_suite(cfg)
     suffix = "_quick" if cfg.quick else ""
-    path = _resolve_out(opts, f"manifest_seed{cfg.master_seed}{suffix}.json")
+    path = _resolve_out(args, f"manifest_seed{cfg.master_seed}{suffix}.json")
     write_manifest_json(path, manifest)
     for r in manifest["results"]:
         status = "SKIP" if r["skipped"] else ("PASS" if r["pass"] else "FAIL")
@@ -292,17 +258,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        return _COMMANDS[args.subcommand](opts)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if args.config:
+            # config flags go right after the subcommand, so explicit ones win
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+        return _COMMANDS[args.subcommand](args)
+    except (ValueError, OSError, BranchLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BranchLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def entry() -> None:

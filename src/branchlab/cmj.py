@@ -51,20 +51,19 @@ _MAX_WIDTHS = 8
 class CmjTrajectory:
     """Events of one truncated branching run, grouped by generation.
 
-    times[g], anc1[g], parent_idx[g] describe generation g+1, each sorted by
-    birth time (ties keep creation order). parent_idx entries point into the
-    previous generation's arrays; generation 1 has parent -1.
+    times[g] and anc1[g] describe generation g+1, each sorted by birth time
+    (ties keep creation order). anc1 labels each event with its
+    generation-1 ancestor, 1 + that ancestor's index in times[0].
     """
 
-    __slots__ = ("dist", "horizon", "k_max", "times", "anc1", "parent_idx")
+    __slots__ = ("dist", "horizon", "k_max", "times", "anc1")
 
-    def __init__(self, dist, horizon, k_max, times, anc1, parent_idx):
+    def __init__(self, dist, horizon, k_max, times, anc1):
         self.dist = dist
         self.horizon = float(horizon)
         self.k_max = int(k_max)
         self.times = times
         self.anc1 = anc1
-        self.parent_idx = parent_idx
 
     @property
     def n_events(self) -> int:
@@ -250,21 +249,14 @@ def simulate_cmj(
     expected or actual event count exceeds MAX_EVENTS, or when the law's
     walk cannot pass its budget.
     """
-    times, anc1, parent_idx = [], [], []
+    times, anc1 = [], []
     for g, (t, rows) in enumerate(_generations(dist, horizon, k_max, rng)):
+        # anc stays in creation order, the order rows index into
+        anc = np.arange(1, t.shape[0] + 1, dtype=np.int64) if g == 0 else anc[rows]
         order = np.argsort(t, kind="stable")
-        if g == 0:
-            anc = np.arange(1, t.shape[0] + 1, dtype=np.int64)
-            parent = np.full(t.shape[0], -1, dtype=np.int64)
-        else:
-            anc = anc[rows]
-            parent = rank[rows[order]]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.shape[0])
         times.append(t[order])
         anc1.append(anc[order])
-        parent_idx.append(parent)
-    return CmjTrajectory(dist, horizon, k_max, times, anc1, parent_idx)
+    return CmjTrajectory(dist, horizon, k_max, times, anc1)
 
 
 def generation_counts(

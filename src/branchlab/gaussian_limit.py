@@ -60,10 +60,16 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
         k, l, s, u = l, k, u, s
     if s == 0:
         return 0.0
-    return math.fsum(
-        math.comb(l - 1, j) / (k + j) * s ** (k + j) * (u - s) ** (l - 1 - j)
-        for j in range(l)
-    )
+    try:
+        value = math.fsum(
+            math.comb(l - 1, j) / (k + j) * s ** (k + j) * (u - s) ** (l - 1 - j)
+            for j in range(l)
+        )
+    except OverflowError:  # float ** raises where float * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"covariance of orders {k}, {l} at times {s}, {u} overflows a float")
+    return value
 
 
 def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:

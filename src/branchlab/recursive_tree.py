@@ -75,11 +75,6 @@ class ProfilePath:
     sizes: np.ndarray
     values: np.ndarray
 
-    def value(self, t_index: int, k: int) -> int:
-        if not 1 <= k <= self.k_max:
-            raise IndexError("level out of recorded range")
-        return int(self.values[t_index, k - 1])
-
 
 def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     """Depth of every vertex, root = 0, resolved in recursive order.

@@ -167,7 +167,6 @@ class GridTestReport:
     marginals: dict
     min_marginal_p: float
     max_marginal_stat: float
-    cov_target: CovMatrix
     cov_emp: np.ndarray
     max_cov_dev_se: float
 
@@ -263,7 +262,6 @@ def functional_grid_test(
         marginals=marginals,
         min_marginal_p=float(min_p),
         max_marginal_stat=float(max_stat),
-        cov_target=target,
         cov_emp=emp.matrix,
         max_cov_dev_se=max_dev_se(emp.matrix, target.matrix, se),
     )

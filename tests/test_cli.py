@@ -1,16 +1,26 @@
 import hashlib
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
-from branchlab.cli import main
+from branchlab import gaussian_limit, recursive_tree, renewal
+from branchlab.cli import _COMMANDS, main
 from branchlab.distributions import make_distribution
 from branchlab.renewal import table_from_csv
 from branchlab.verify import _REGISTRY, manifest_core_bytes
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json"
+
+# Even with database=None, Hypothesis caches the constants it reads from local
+# source files under its home directory (at collection time, so this must run
+# at import); keep that cache out of the working tree.
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "branchlab-hypothesis")
 
 
 def run(capsys, *argv):
@@ -308,6 +318,148 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "could not parse grid" in err
+
+
+def run_config(tmp_path, capsys, config, *argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return run(capsys, *argv, "--config", str(path), "--output-dir", str(tmp_path))
+
+
+def test_config_quick_false_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_registry(cfg):
+        raise AssertionError("registry ran")
+
+    monkeypatch.setattr("branchlab.cli.verify_suite", no_registry)
+    with pytest.raises(SystemExit) as exc:
+        run_config(tmp_path, capsys, {"quick": "false"}, "verify")
+    assert exc.value.code == 2
+    assert "--quick" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_config_null_keeps_default(tmp_path, capsys):
+    code, out, _ = run_config(tmp_path, capsys, {"n": None, "seed": False}, "gen-tree")
+    assert code == 0
+    assert Path(out.strip()).name == "tree_n100_seed0.csv"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gen-tree", {"n": True}, "expected one argument"),
+        ("gen-tree", {"seed": 1.7}, "invalid int value"),
+        ("gen-tree", {"sead": 5}, "unrecognized arguments"),
+        # profile-path has --k-max but no --k
+        ("profile-path", {"k": 3}, "unrecognized arguments"),
+    ],
+)
+def test_config_values_parse_as_flags(tmp_path, capsys, command, config, message):
+    with pytest.raises(SystemExit) as exc:
+        run_config(tmp_path, capsys, config, command)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("key", ["", "seed=3"])
+def test_config_key_must_be_a_flag_name(tmp_path, capsys, key):
+    code, out, err = run_config(tmp_path, capsys, {key: True}, "gen-tree")
+    assert code == 2
+    assert out == ""
+    assert "is not a flag name" in err
+
+
+def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile-path", "--k", "3", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_list_is_a_grid(tmp_path, capsys):
+    code, out, _ = run_config(tmp_path, capsys, {"t_grid": [0.5, 1], "m": 3}, "limit-sample")
+    assert code == 0
+    lines = Path(out.strip()).read_text().splitlines()
+    assert lines[0] == "k1_t0.5,k1_t1,k2_t0.5,k2_t1"
+    assert len(lines) == 4
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(_COMMANDS, "gen-tree", broken)
+    code, out, err = run(capsys, "gen-tree", "--output-dir", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert "RuntimeError: broken command" in err
+
+
+def test_renewal_grid_past_the_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # 10**7 cells: the O(n^2) solve would take hours, so it must never start
+    def no_solve(*args):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(renewal, "_volterra_u", no_solve)
+    code, out, err = run(
+        capsys, "renewal-table", "--t-max", "100000", "--h", "0.01", "--output-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each subcommand's own flags; config keys may also be unknown or abbreviate one.
+_CONFIG_FLAGS = {
+    "gen-tree": ("n", "seed"),
+    "profile-path": ("n-base", "t-grid", "k-max", "seed"),
+    "renewal-table": ("dist", "t-max", "h", "k-max"),
+    "limit-sample": ("k-max", "t-grid", "m", "seed"),
+    "covariance": ("k", "l", "s", "u"),
+}
+_NUMBERS = st.integers(-5, 50) | st.floats(-50, 50) | st.floats()
+# numbers twice, so that more configs get past argparse into the commands
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | _NUMBERS
+    | _NUMBERS
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=6)
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=4)
+
+
+@st.composite
+def _config_cases(draw):
+    command = draw(st.sampled_from(sorted(_CONFIG_FLAGS)))
+    keys = _CONFIG_FLAGS[command] + (draw(st.sampled_from(["sead", "k", "t"])),)
+    config = draw(st.fixed_dictionaries({}, optional={key: _VALUES for key in keys}))
+    return command, config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(_config_cases())
+def test_any_config_is_accepted_or_refused_cleanly(case):
+    command, config = case
+    # the caps are scaled down so that every accepted size finishes in
+    # milliseconds; the real caps have their own tests above
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursive_tree, "MAX_TREE_VERTICES", 2**16)
+        mp.setattr(recursive_tree, "MAX_PATH_CELLS", 2**10)
+        mp.setattr(renewal, "MAX_GRID_CELLS", 2**14)
+        mp.setattr(gaussian_limit, "MAX_COV_DIM", 24)
+        mp.setattr(gaussian_limit, "MAX_SAMPLE_CELLS", 2**14)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        try:
+            code = main([command, "--config", str(path), "--output-dir", tmp])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
 
 
 @pytest.fixture(scope="module")

@@ -121,7 +121,7 @@ def test_profile_path_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.5
     assert int(first[1]) == 1
-    assert int(first[2]) == pp.value(0, 1)
+    assert int(first[2]) == pp.values[0, 0]
 
 
 def test_trajectory_csv(tmp_path):
@@ -220,7 +220,7 @@ def _profile_path_rows(n_base, grid, k_max, seed):
     pp = grow_and_record(n_base, grid, k_max, RngStream(seed, 0))
     rows = [("t", "k", "count")]
     for ti, t in enumerate(pp.t_grid):
-        rows.extend((float(t), k, pp.value(ti, k)) for k in range(1, k_max + 1))
+        rows.extend((float(t), k, int(pp.values[ti, k - 1])) for k in range(1, k_max + 1))
     return rows
 
 

@@ -79,6 +79,12 @@ def test_validation():
             cov_rkl_integral(1, 1, 1.0, bad)
         with pytest.raises(ValueError):
             build_cov_matrix(2, [0.5, bad])
+    # finite times whose covariance overflows: by a power, and by a product
+    for k, l, s, u in ((40, 40, 1e10, 1e10), (2, 3, 1e200, 1e300), (1, 2, 1e150, 1e200)):
+        with pytest.raises(ValueError):
+            cov_rkl(k, l, s, u)
+    with pytest.raises(ValueError):
+        build_cov_matrix(2, [1e200])
 
 
 def test_unit_time_matrix_is_hilbert():

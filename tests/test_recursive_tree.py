@@ -214,7 +214,6 @@ def test_grow_and_record_snapshots():
     assert path.values[0].tolist() == [0, 0, 0]
     # level counts only grow with the tree
     assert np.all(np.diff(path.values, axis=0) >= 0)
-    assert path.value(2, 1) == path.values[2, 0]
     # every snapshot is the level count of a prefix of the final tree; the
     # second input has a size-1 snapshot and levels past the tree's height
     for n_base, grid, k_max, seed in ((100, t_grid, 3, 23), (3, (0.0, 0.5, 1.0, 2.0), 5, 4)):

@@ -129,13 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str) -> list:
-    """The flags a user would type for the JSON object in a config file.
+def _config_flags(parser, args) -> list:
+    """The flags a user would type for the JSON object in args.config.
 
     A value becomes --key=value, a list its comma-joined items, true a bare
-    switch; false and null add nothing, so the default stands.
+    switch; false and null add nothing, so the default stands. A key that
+    names none of the subcommand's options is refused whatever its value.
     """
-    with open(path, encoding="utf-8") as f:
+    options = set(vars(args)) - {"subcommand"}  # the first parse holds exactly these
+    with open(args.config, encoding="utf-8") as f:
         loaded = json.load(f)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
@@ -144,6 +146,8 @@ def _config_flags(path: str) -> list:
         if not key or "=" in key:  # "--" ends the options; "--n=5" carries a value
             raise ValueError(f"config key {key!r} is not a flag name")
         flag = "--" + key.replace("_", "-")
+        if key.replace("-", "_") not in options:
+            parser.error(f"unrecognized arguments: {flag}")
         if value is True:
             flags.append(flag)
         elif isinstance(value, list):
@@ -265,7 +269,7 @@ def main(argv=None) -> int:
         if args.config:
             # config flags go right after the subcommand, so explicit ones win
             at = argv.index(args.subcommand) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+            args = parser.parse_args(argv[:at] + _config_flags(parser, args) + argv[at:])
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError, BranchLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, lorden_constant
-from .errors import TableCoverageError
-from .rng import RngStream
+from .errors import CapExceededError, TableCoverageError
 
 # _volterra_u solves row by row in O(n^2): on 2 cores, 50k cells take 0.4 s,
 # 200k cells 4.0-4.2 s and 2**18 cells 7.4-8.0 s; 10**7 cells would take
 # about three hours. renewal-table --t-max 2000 --h 0.01 (200k cells) fits,
 # and no registry table exceeds 50k cells.
 MAX_GRID_CELLS = 2**18
+# renewal-table writes k_max * (cells + 1) values at 17 digits. On 2 cores,
+# 2**22 values take 8.2 s and 416 MB at 5001 points and 838 orders (a 94 MB
+# CSV), and 13.7 s and 448 MB at 2**18 cells and 16 orders, solve included.
+# MAX_SAMPLE_CELLS caps limit-sample's CSV at the same size.
+MAX_TABLE_VALUES = 2**22
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,8 @@ def _volterra_u(dist: IncrementDistribution, n_cells: int, h: float) -> np.ndarr
     return U
 
 
-def renewal_function_grid(
-    dist: IncrementDistribution,
-    t_max: float,
-    h: float = 0.01,
-) -> RenewalTable:
-    """Solve for U on the grid 0, h, ..., ceil(t_max/h)*h."""
+def _grid_cells(t_max: float, h: float) -> int:
+    """Cell count of the grid 0, h, ..., ceil(t_max/h)*h, refused past MAX_GRID_CELLS."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError("grid step h must be positive and finite")
     if not (math.isfinite(t_max) and t_max > 0):
@@ -121,7 +121,25 @@ def renewal_function_grid(
     cells = t_max / h - 1e-9  # may overflow to inf for a tiny h
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {t_max / h:.6g} cells exceeds the cap {MAX_GRID_CELLS}")
-    n_cells = max(1, int(math.ceil(cells)))
+    return max(1, int(math.ceil(cells)))
+
+
+def _check_orders(k_max: int, n_cells: int) -> None:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if k_max * (n_cells + 1) > MAX_TABLE_VALUES:
+        raise CapExceededError(
+            f"{k_max} orders of {n_cells + 1} grid points exceed the cap {MAX_TABLE_VALUES}"
+        )
+
+
+def renewal_function_grid(
+    dist: IncrementDistribution,
+    t_max: float,
+    h: float = 0.01,
+) -> RenewalTable:
+    """Solve for U on the grid 0, h, ..., ceil(t_max/h)*h."""
+    n_cells = _grid_cells(t_max, h)
     if dist.lattice_span > 0:
         ratio = dist.lattice_span / h
         if abs(ratio - round(ratio)) > 1e-9:
@@ -149,8 +167,7 @@ def higher_renewal_grid(table: RenewalTable, k_max: int) -> RenewalTable:
     Nonlattice laws evaluate the lower-order function at cell midpoints;
     lattice laws evaluate at the right endpoint where the atoms sit.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_orders(k_max, table.n_cells)
     if k_max <= table.k_max:
         return table
     lattice = table.dist.lattice_span > 0
@@ -164,7 +181,11 @@ def higher_renewal_grid(table: RenewalTable, k_max: int) -> RenewalTable:
 def build_renewal_table(
     dist: IncrementDistribution, t_max: float, h: float = 0.01, k_max: int = 1
 ) -> RenewalTable:
-    """Convenience: solve for U and extend to k_max in one call."""
+    """Convenience: solve for U and extend to k_max in one call.
+
+    Both caps are checked before anything is solved.
+    """
+    _check_orders(k_max, _grid_cells(t_max, h))
     return higher_renewal_grid(renewal_function_grid(dist, t_max, h), k_max)
 
 
@@ -259,20 +280,20 @@ def abs_normal_moment(p: float, variance: float) -> float:
 
 
 def moment_ratio(
+    counts,
     dist: IncrementDistribution,
     t: float,
     p: float,
-    n_samples: int,
-    rng: RngStream,
     table: RenewalTable | None = None,
 ) -> float:
     """Monte Carlo E|N(t) - U(t)|^p over its Gaussian prediction.
 
-    The prediction is E|Z|^p * t^{p/2} with Z ~ normal(0, sigma2 / mu^3).
-    U(t) comes from the closed form for exp, or from the supplied table.
+    counts holds samples of N(t), e.g. from cmj.renewal_count_samples. The
+    prediction is E|Z|^p * t^{p/2} with Z ~ normal(0, sigma2 / mu^3). U(t)
+    comes from the closed form for exp, or from the supplied table.
     """
-    from .cmj import renewal_count_samples
-
+    if len(counts) == 0:
+        raise ValueError("counts must be nonempty")
     if dist.sigma2 <= 0:
         raise ValueError("degenerate increments have no Gaussian limit")
     if p < 1:
@@ -283,8 +304,7 @@ def moment_ratio(
         u_t = dist.params[0] * t
     else:
         raise ValueError("a renewal table is required for this law")
-    counts = renewal_count_samples(dist, t, n_samples, rng)
-    num = float(np.mean(np.abs(counts - u_t) ** p))
+    num = float(np.mean(np.abs(np.asarray(counts) - u_t) ** p))
     den = abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0)
     return num / den
 

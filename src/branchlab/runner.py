@@ -16,11 +16,11 @@ from .rng import RngStream
 
 def _run_chunk(args):
     task, seed, lo, hi = args
-    return [task(r, RngStream(seed, r)) for r in range(lo, hi)]
+    return [task(RngStream(seed, r)) for r in range(lo, hi)]
 
 
 def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
-    """Evaluate task(r, RngStream(seed, r)) for r in 0..n_reps-1, in order.
+    """Evaluate task(RngStream(seed, r)) for r in 0..n_reps-1, in order.
 
     task must be picklable (a module-level callable or functools.partial of
     one) when workers > 1. The pool then starts min(workers, n_reps, cpu

@@ -150,11 +150,7 @@ def max_dev_se(emp, target, se) -> float:
     return float(np.max(ratio))
 
 
-def _cmj_grid_task(rep, rng, dist, horizon, s_grid, k_max):
-    return generation_counts(dist, horizon, k_max, s_grid, rng).astype(float)
-
-
-def _tree_grid_task(rep, rng, n_base, s_grid, k_max):
+def _tree_grid_task(rng, n_base, s_grid, k_max):
     path = grow_and_record(n_base, np.asarray(s_grid), k_max, rng)
     return path.values.T.astype(float)
 
@@ -218,13 +214,7 @@ def functional_grid_test(
             raise ValueError("horizon must be positive")
         if dist.sigma2 <= 0.0:
             raise ValueError("cmj mode needs an increment law with sigma2 > 0")
-        task = partial(
-            _cmj_grid_task,
-            dist=dist,
-            horizon=float(horizon),
-            s_grid=s_grid,
-            k_max=int(k_max),
-        )
+        task = partial(generation_counts, dist, float(horizon), int(k_max), s_grid)
         t, mu, sigma2 = float(horizon), dist.mu, dist.sigma2
     elif mode == "tree":
         if n_base is None:
@@ -243,7 +233,7 @@ def functional_grid_test(
 
     raw = map_replicated(task, n_reps, seed, workers=workers)
 
-    z = np.empty_like(raw)
+    z = np.empty(raw.shape)
     marginals = {}
     for ki in range(k_max):
         for si, s in enumerate(s_grid):

@@ -23,7 +23,13 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .cmj import _kept_sums, _walk_stream, generation_counts, simulate_embedded_rrt
+from .cmj import (
+    _kept_sums,
+    _walk_stream,
+    generation_counts,
+    renewal_count_samples,
+    simulate_embedded_rrt,
+)
 from .distributions import make_distribution
 from .errors import BranchLabError
 from .fileio import canonical_json_bytes
@@ -43,7 +49,7 @@ from .renewal import (
     uk_bound_check,
     yk3_exact,
 )
-from .rng import RngStream, mix64
+from .rng import mix64
 from .runner import map_replicated
 from .stat_tests import empirical_cov, functional_grid_test, ks_two_sample, max_dev_se
 
@@ -92,18 +98,18 @@ def _entry(
 # replicate tasks (module level so worker processes can unpickle them)
 
 
-def _embedding_task(rep, rng, n, k_hi):
+def _embedding_task(rng, n, k_hi):
     direct = generate_rrt(n + 1, rng).parent[1:]
     emb = simulate_embedded_rrt(n, rng).tree.parent[1:]
     return level_counts_batch(np.stack([direct, emb]), k_hi).ravel().astype(float)
 
 
-def _tree_batch_task(rep, rng, n_plus_1, k_hi, n_trees):
+def _tree_batch_task(rng, n_plus_1, k_hi, n_trees):
     parents = generate_parent_matrix(n_trees, n_plus_1, rng)
     return level_counts_batch(parents, k_hi).astype(float)
 
 
-def _probe_task(rep, rng, dist, horizon, n):
+def _probe_task(rng, dist, horizon, n):
     counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
     levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
     return np.array(
@@ -246,13 +252,13 @@ def _test_functional_grid_exp(cfg, seed):
 def _test_profile_small_n_tv(cfg, seed):
     m = 20_000 if cfg.quick else 100_000
     budget = 0.02 if cfg.quick else 0.01
-    rng = RngStream(seed, 0)
     out = []
     for n_plus_1 in range(3, 8):
         exact = exact_profile_distribution(n_plus_1)
         k_hi = n_plus_1 - 1
-        counts = level_counts_batch(generate_parent_matrix(m, n_plus_1, rng), k_hi)
-        keys, tallies = np.unique(counts, axis=0, return_counts=True)
+        task = partial(_tree_batch_task, n_plus_1=n_plus_1, k_hi=k_hi, n_trees=2000)
+        rows = map_replicated(task, m // 2000, mix64(seed, n_plus_1), workers=cfg.workers)
+        keys, tallies = np.unique(rows.reshape(m, k_hi), axis=0, return_counts=True)
         emp = {tuple(int(v) for v in row): c / m for row, c in zip(keys, tallies)}
         support = set(exact) | set(emp)
         tv = 0.5 * sum(abs(emp.get(p, 0.0) - exact.get(p, 0.0)) for p in support)
@@ -304,8 +310,9 @@ def _test_level1_moments(cfg, seed):
 def _test_limit_sampler_cov(cfg, seed):
     m = 5000 if cfg.quick else 20_000
     cov = build_cov_matrix(3, (0.5, 1.0))
-    draw = sample_limit(cov, m, RngStream(seed, 0))
-    emp, se = empirical_cov(draw.samples, index=cov.index)
+    task = partial(sample_limit, cov, 1000)
+    draws = map_replicated(task, m // 1000, seed, workers=cfg.workers)
+    emp, se = empirical_cov(np.concatenate([d.samples for d in draws]), index=cov.index)
     return [
         _entry(
             "limit_sampler_cov.dev_se",
@@ -313,7 +320,7 @@ def _test_limit_sampler_cov(cfg, seed):
             4.0,
             True,
             n_eff=m,
-            details={"dim": len(cov.index), "jitter": draw.jitter},
+            details={"dim": len(cov.index), "jitter": draws[0].jitter},
         )
     ]
 
@@ -351,14 +358,14 @@ def _test_renewal_gamma(cfg, seed):
     ]
 
 
-def _shot_noise_second_moment(dist, table, k, t, m, rng):
-    """Monte Carlo mean and SE of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
+def _shot_noise_squares(dist, table, k, t, m, rng):
+    """m independent draws of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
     vals = np.empty(m, dtype=float)
     for lo, C, s, q in _walk_stream(dist, rng, np.full(m, t)):
         rows, sums = _kept_sums(C, s, q)
         contrib = np.interp(t - sums, table.grid, table.uk[k - 2])
         vals[lo : lo + s.shape[0]] = np.bincount(rows, contrib, minlength=s.shape[0]) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(m)
+    return vals
 
 
 def _test_second_moment_identity(cfg, seed):
@@ -368,7 +375,9 @@ def _test_second_moment_identity(cfg, seed):
     table = build_renewal_table(dist, t, h=0.01, k_max=k)
     rhs = second_moment_rhs(table, k, t)
     m = 20_000 if cfg.quick else 100_000
-    mc, se = _shot_noise_second_moment(dist, table, k, t, m, RngStream(seed, 0))
+    task = partial(_shot_noise_squares, dist, table, k, t, 5000)
+    vals = map_replicated(task, m // 5000, seed, workers=cfg.workers).ravel()
+    mc, se = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(m)
     return [
         _entry(
             "second_moment_identity.grid_vs_closed_form",
@@ -395,7 +404,9 @@ def _moment_ratio_entries(cfg, seed, label, descriptor, t, halfwidth_full, halfw
     table = None
     if dist.kind != "exp":
         table = build_renewal_table(dist, t, h=0.01, k_max=1)
-    ratio = moment_ratio(dist, t, 2.0, m, RngStream(seed, 0), table=table)
+    task = partial(renewal_count_samples, dist, t, 1000)
+    counts = map_replicated(task, m // 1000, seed, workers=cfg.workers).ravel()
+    ratio = moment_ratio(counts, dist, t, 2.0, table=table)
     return [
         _entry(
             f"{label}.ratio",

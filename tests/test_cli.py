@@ -338,6 +338,24 @@ def test_config_quick_false_is_usage_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize(
+    "command, config", [("gen-tree", {"sead": None}), ("verify", {"quick_mode": False})]
+)
+def test_config_unknown_key_is_usage_error_whatever_its_value(
+    tmp_path, capsys, monkeypatch, command, config
+):
+    # false and null add no flag, so only the key check can refuse these
+    def no_registry(cfg):
+        raise AssertionError("registry ran")
+
+    monkeypatch.setattr("branchlab.cli.verify_suite", no_registry)
+    with pytest.raises(SystemExit) as exc:
+        run_config(tmp_path, capsys, config, command)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_config_null_keeps_default(tmp_path, capsys):
     code, out, _ = run_config(tmp_path, capsys, {"n": None, "seed": False}, "gen-tree")
     assert code == 0
@@ -412,6 +430,26 @@ def test_renewal_grid_past_the_cap_is_usage_error(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2000 orders of 5001 points: a 10**7-value table and a 232 MB CSV
+        ["--k-max", "2000"],
+        ["--k-max", "0", "--t-max", "1000"],
+    ],
+)
+def test_renewal_orders_past_the_cap_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(renewal, "_volterra_u", no_solve)
+    code, out, err = run(capsys, "renewal-table", *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert list(tmp_path.iterdir()) == []
+
+
 # Each subcommand's own flags; config keys may also be unknown or abbreviate one.
 _CONFIG_FLAGS = {
     "gen-tree": ("n", "seed"),
@@ -451,6 +489,7 @@ def test_any_config_is_accepted_or_refused_cleanly(case):
         mp.setattr(recursive_tree, "MAX_TREE_VERTICES", 2**16)
         mp.setattr(recursive_tree, "MAX_PATH_CELLS", 2**10)
         mp.setattr(renewal, "MAX_GRID_CELLS", 2**14)
+        mp.setattr(renewal, "MAX_TABLE_VALUES", 2**16)
         mp.setattr(gaussian_limit, "MAX_COV_DIM", 24)
         mp.setattr(gaussian_limit, "MAX_SAMPLE_CELLS", 2**14)
         path = Path(tmp) / "config.json"

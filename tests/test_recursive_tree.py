@@ -160,7 +160,7 @@ def test_level_counts_batch_matches_per_tree_profiles():
 
 
 def test_tree_batch_task_level1_counts_root_children():
-    got = _tree_batch_task(0, RngStream(11, 3), n_plus_1=400, k_hi=1, n_trees=20)
+    got = _tree_batch_task(RngStream(11, 3), n_plus_1=400, k_hi=1, n_trees=20)
     parents = generate_parent_matrix(20, 400, RngStream(11, 3))
     assert got.shape == (20, 1)
     assert np.array_equal(got[:, 0], np.count_nonzero(parents == 0, axis=1))

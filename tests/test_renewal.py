@@ -183,18 +183,26 @@ def test_count_means_match_table_on_grid(gamma_table):
 
 
 def test_moment_ratio_exp_closed_form_route():
-    ratio = moment_ratio(EXP1, 50.0, 2.0, 4000, RngStream(5, 0))
+    counts = renewal_count_samples(EXP1, 50.0, 4000, RngStream(5, 0))
+    ratio = moment_ratio(counts, EXP1, 50.0, 2.0)
     assert 0.9 < ratio < 1.1
 
 
 def test_moment_ratio_requires_table_for_gamma():
+    counts = renewal_count_samples(GAMMA22, 10.0, 100, RngStream(0, 0))
     with pytest.raises(ValueError):
-        moment_ratio(GAMMA22, 10.0, 2.0, 100, RngStream(0, 0))
+        moment_ratio(counts, GAMMA22, 10.0, 2.0)
 
 
 def test_moment_ratio_rejects_degenerate():
+    counts = renewal_count_samples(DET1, 10.0, 100, RngStream(0, 0))
     with pytest.raises(ValueError):
-        moment_ratio(DET1, 10.0, 2.0, 100, RngStream(0, 0))
+        moment_ratio(counts, DET1, 10.0, 2.0)
+
+
+def test_moment_ratio_needs_counts():
+    with pytest.raises(ValueError):
+        moment_ratio([], EXP1, 10.0, 2.0)
 
 
 def test_table_csv_roundtrip(tmp_path, gamma_table):

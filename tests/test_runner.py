@@ -3,11 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from branchlab import runner
+from branchlab import runner, verify
 
 
-def _task(rep, rng):
-    return np.array([rep, rng.gen.random()])
+def _task(rng):
+    return np.array([rng.stream_id, rng.gen.random()])
 
 
 class _InProcessPool:
@@ -49,3 +49,27 @@ def test_argument_validation():
         runner.map_replicated(_task, 0, 1)
     with pytest.raises(ValueError):
         runner.map_replicated(_task, 5, 1, workers=0)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        "profile_small_n_tv",
+        "limit_sampler_cov",
+        "second_moment_identity",
+        "moment_ratio_exp",
+        "moment_ratio_gamma",
+    ],
+)
+def test_registry_group_draws_through_the_runner(monkeypatch, group):
+    calls = []
+
+    def recorder(task, n_reps, seed, workers=1):
+        calls.append(workers)
+        return runner.map_replicated(task, n_reps, seed, workers=workers)
+
+    monkeypatch.setattr(verify, "map_replicated", recorder)
+    fn = dict(verify._REGISTRY)[group]
+    pooled = fn(verify.VerifyConfig(quick=True, workers=2), 7)
+    assert calls and set(calls) == {2}
+    assert pooled == fn(verify.VerifyConfig(quick=True, workers=1), 7)

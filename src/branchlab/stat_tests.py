@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .cmj import generation_counts
 from .distributions import IncrementDistribution
 from .gaussian_limit import CovMatrix, build_cov_matrix, marginal_sd
 from .recursive_tree import grow_and_record
 from .runner import map_replicated
-
-_KOLMOGOROV_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -30,23 +28,6 @@ class KsReport:
     statistic: float
     p_value: float
     n_eff: float
-
-
-def kolmogorov_pvalue(lam: float) -> float:
-    """Asymptotic two-sided KS tail probability P(K > lam).
-
-    Uses the alternating series 2 * sum_j (-1)^(j-1) exp(-2 j^2 lam^2).
-    Below lam = 0.3 the distribution function is numerically zero, so
-    the tail is returned as exactly 1.0 rather than summing a series
-    that has not yet converged.
-    """
-    if lam <= 0.3:
-        return 1.0
-    total = math.fsum(
-        (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        for j in range(1, _KOLMOGOROV_TERMS + 1)
-    )
-    return float(min(1.0, max(0.0, 2.0 * total)))
 
 
 def ks_one_sample(samples, cdf) -> KsReport:
@@ -65,7 +46,7 @@ def ks_one_sample(samples, cdf) -> KsReport:
     d_plus = float(np.max(grid - fx))
     d_minus = float(np.max(fx - (grid - 1.0 / n)))
     stat = max(d_plus, d_minus)
-    p = kolmogorov_pvalue(math.sqrt(n) * stat)
+    p = float(kolmogorov(math.sqrt(n) * stat))
     return KsReport(statistic=stat, p_value=p, n_eff=float(n))
 
 
@@ -81,7 +62,7 @@ def ks_two_sample(a, b) -> KsReport:
     cb = np.searchsorted(xb, pooled, side="right") / xb.size
     stat = float(np.max(np.abs(ca - cb)))
     n_eff = xa.size * xb.size / (xa.size + xb.size)
-    p = kolmogorov_pvalue(math.sqrt(n_eff) * stat)
+    p = float(kolmogorov(math.sqrt(n_eff) * stat))
     return KsReport(statistic=stat, p_value=p, n_eff=float(n_eff))
 
 

@@ -109,6 +109,18 @@ def _tree_batch_task(rng, n_plus_1, k_hi, n_trees):
     return level_counts_batch(parents, k_hi).astype(float)
 
 
+_TV_SIZES = range(3, 8)
+
+
+def _small_trees_task(rng, n_trees):
+    """Level counts 1..n of n_trees trees at each size n + 1 in _TV_SIZES, side by side.
+
+    int8 holds every count (at most 6) and keeps the stacked replicates small.
+    """
+    levels = [_tree_batch_task(rng, n1, n1 - 1, n_trees) for n1 in _TV_SIZES]
+    return np.hstack(levels).astype(np.int8)
+
+
 def _probe_task(rng, dist, horizon, n):
     counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
     levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
@@ -252,13 +264,15 @@ def _test_functional_grid_exp(cfg, seed):
 def _test_profile_small_n_tv(cfg, seed):
     m = 20_000 if cfg.quick else 100_000
     budget = 0.02 if cfg.quick else 0.01
+    task = partial(_small_trees_task, n_trees=2000)
+    rows = map_replicated(task, m // 2000, seed, workers=cfg.workers).reshape(m, -1)
     out = []
-    for n_plus_1 in range(3, 8):
+    lo = 0
+    for n_plus_1 in _TV_SIZES:
         exact = exact_profile_distribution(n_plus_1)
         k_hi = n_plus_1 - 1
-        task = partial(_tree_batch_task, n_plus_1=n_plus_1, k_hi=k_hi, n_trees=2000)
-        rows = map_replicated(task, m // 2000, mix64(seed, n_plus_1), workers=cfg.workers)
-        keys, tallies = np.unique(rows.reshape(m, k_hi), axis=0, return_counts=True)
+        keys, tallies = np.unique(rows[:, lo : lo + k_hi], axis=0, return_counts=True)
+        lo += k_hi
         emp = {tuple(int(v) for v in row): c / m for row, c in zip(keys, tallies)}
         support = set(exact) | set(emp)
         tv = 0.5 * sum(abs(emp.get(p, 0.0) - exact.get(p, 0.0)) for p in support)
@@ -401,12 +415,9 @@ def _moment_ratio_entries(cfg, seed, label, descriptor, t, halfwidth_full, halfw
     dist = make_distribution(descriptor)
     m = 5000 if cfg.quick else 20_000
     half = halfwidth_quick if cfg.quick else halfwidth_full
-    table = None
-    if dist.kind != "exp":
-        table = build_renewal_table(dist, t, h=0.01, k_max=1)
     task = partial(renewal_count_samples, dist, t, 1000)
     counts = map_replicated(task, m // 1000, seed, workers=cfg.workers).ravel()
-    ratio = moment_ratio(counts, dist, t, 2.0, table=table)
+    ratio = moment_ratio(counts, dist, t, 2.0)
     return [
         _entry(
             f"{label}.ratio",

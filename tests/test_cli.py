@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
 from branchlab import gaussian_limit, recursive_tree, renewal
@@ -450,6 +450,26 @@ def test_renewal_orders_past_the_cap_are_usage_errors(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_renewal_grid_without_a_pivot_is_usage_error(tmp_path, capsys):
+    # one cell of width 2**53 + 4: the solve refuses it instead of writing nan
+    code, out, err = run(
+        capsys, "renewal-table", "--h", "9007199254740996", "--output-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _numeric_cells(path):
+    for line in path.read_text().splitlines():
+        for cell in line.split(","):
+            try:
+                yield float(cell)
+            except ValueError:  # a header label
+                pass
+
+
 # Each subcommand's own flags; config keys may also be unknown or abbreviate one.
 _CONFIG_FLAGS = {
     "gen-tree": ("n", "seed"),
@@ -481,6 +501,7 @@ def _config_cases(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(_config_cases())
+@example(("renewal-table", {"h": 9007199254740996}))  # one cell, no pivot: once a nan table
 def test_any_config_is_accepted_or_refused_cleanly(case):
     command, config = case
     # the caps are scaled down so that every accepted size finishes in
@@ -498,7 +519,10 @@ def test_any_config_is_accepted_or_refused_cleanly(case):
             code = main([command, "--config", str(path), "--output-dir", tmp])
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2)
+        assert code in (0, 2)
+        if code == 0:
+            for csv in Path(tmp).glob("*.csv"):
+                assert all(map(math.isfinite, _numeric_cells(csv))), csv.name
 
 
 @pytest.fixture(scope="module")

@@ -188,10 +188,22 @@ def test_moment_ratio_exp_closed_form_route():
     assert 0.9 < ratio < 1.1
 
 
-def test_moment_ratio_requires_table_for_gamma():
-    counts = renewal_count_samples(GAMMA22, 10.0, 100, RngStream(0, 0))
-    with pytest.raises(ValueError):
-        moment_ratio(counts, GAMMA22, 10.0, 2.0)
+def test_moment_ratio_gamma_route():
+    counts = renewal_count_samples(GAMMA22, 50.0, 4000, RngStream(5, 0))
+    ratio = moment_ratio(counts, GAMMA22, 50.0, 2.0)
+    assert 0.9 < ratio < 1.1
+
+
+@pytest.mark.parametrize("law", ["exp(1)", "gamma(2,2)", "uniform(0.5,1.5)"])
+def test_moment_ratio_centres_on_the_renewal_function(law):
+    # one count at the grid-solved U(t) and p = 1: the ratio times its Gaussian
+    # denominator is the gap between U(t) and the two-term expansion
+    dist = make_distribution(law)
+    table = renewal_function_grid(dist, 50.0, h=0.01)
+    tol = 1e-12 if dist.kind == "exp" else 1e-4
+    for t in (10.0, 20.0, 50.0):
+        den = abs_normal_moment(1.0, dist.sigma2 / dist.mu**3) * math.sqrt(t)
+        assert moment_ratio([table.interp(1, t)], dist, t, 1.0) * den <= tol
 
 
 def test_moment_ratio_rejects_degenerate():
@@ -256,6 +268,12 @@ def test_grid_validation():
     for t_max, h in bad:
         with pytest.raises(ValueError):
             renewal_function_grid(EXP1, t_max, h=h)
+
+
+def test_grid_step_that_leaves_no_pivot_is_refused():
+    # one cell so wide that all of its mass sits at the far left: no pivot remains
+    with pytest.raises(ValueError, match="pivot"):
+        renewal_function_grid(EXP1, 50.0, h=9007199254740996.0)
 
 
 def test_grid_shorter_than_one_step_keeps_one_cell():

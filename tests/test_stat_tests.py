@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov, ndtr
+from scipy.special import ndtr
 
 from branchlab import stat_tests
 from branchlab.cmj import count_generation, simulate_cmj
@@ -13,7 +13,6 @@ from branchlab.rng import RngStream
 from branchlab.stat_tests import (
     empirical_cov,
     functional_grid_test,
-    kolmogorov_pvalue,
     ks_one_sample,
     ks_two_sample,
     max_dev_se,
@@ -21,21 +20,6 @@ from branchlab.stat_tests import (
 )
 
 EXP1 = make_distribution("exp(1)")
-
-
-def test_kolmogorov_pvalue_against_scipy():
-    for lam in np.linspace(0.35, 2.5, 40):
-        assert kolmogorov_pvalue(float(lam)) == pytest.approx(
-            float(kolmogorov(lam)), abs=1e-9
-        )
-
-
-def test_kolmogorov_pvalue_edges():
-    assert kolmogorov_pvalue(0.0) == 1.0
-    assert kolmogorov_pvalue(0.3) == 1.0
-    grid = [kolmogorov_pvalue(x) for x in np.linspace(0.3, 3.0, 30)]
-    assert all(a >= b for a, b in zip(grid, grid[1:]))
-    assert kolmogorov_pvalue(5.0) < 1e-10
 
 
 def test_one_sample_hand_value():

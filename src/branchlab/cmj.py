@@ -19,7 +19,11 @@ off the stream with searchsorted, so counting needs no sort.
 
 The genealogical embedding ties this to uniform recursive trees: with unit
 rate exponential clocks, when j vertices are alive the next birth happens
-after an Exp(j) wait and attaches to a uniformly chosen live vertex.
+after an Exp(j) wait and attaches to a uniformly chosen live vertex. Two
+samplers race those clocks on the same draws: simulate_embedded_rrt keeps
+a heap, O(n log n), and serves one large tree (cmj --embedded);
+_embedded_parent_matrix races the clocks of many small trees at once in
+numpy, O(n^2) per tree, and serves the verify registry.
 """
 from __future__ import annotations
 
@@ -315,7 +319,10 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
 
     Draws happen in event order: the root's first clock, then two fresh
     exponentials per birth (the parent's next firing and the child's
-    first). Raises CapExceededError above MAX_EMBEDDED_BIRTHS births.
+    first). The heap serves one large tree; the registry grows its many
+    small trees with _embedded_parent_matrix, whose rows equal this
+    function's parent arrays on the same stream. Raises CapExceededError
+    above MAX_EMBEDDED_BIRTHS births.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -333,6 +340,34 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
             heapq.heappush(heap, (t + draws[2 * i - 1], v))
             heapq.heappush(heap, (t + draws[2 * i], i))
     return EmbeddedTree(RecursiveTree(parent), birth_times)
+
+
+def _embedded_parent_matrix(n_trees: int, n: int, rng: RngStream) -> np.ndarray:
+    """Parents of vertices 1..n for n_trees clock-grown trees, one tree per row.
+
+    Races the clocks of all trees at once: clock[r, v] is the next firing
+    time of vertex v in tree r, inf before v is born. Birth i goes to the
+    earliest clock among vertices 0..i-1 of each row (the lowest index on
+    a tie, as in the heap), which is then re-armed with a fresh draw, and
+    the child is armed with the next. Row r takes the r-th 2n + 1 draws of
+    one exponential draw, so it equals the parent array of the r-th of
+    n_trees consecutive simulate_embedded_rrt(n, rng) calls; n = 0 draws
+    nothing, as there. Costs O(n_trees * n^2).
+    """
+    parents = np.empty((n_trees, n), dtype=np.int64)
+    if n == 0:
+        return parents
+    draws = rng.gen.exponential(size=(n_trees, 2 * n + 1))
+    clock = np.full((n_trees, n + 1), np.inf)
+    clock[:, 0] = draws[:, 0]
+    rows = np.arange(n_trees)
+    for i in range(1, n + 1):
+        v = clock[:, :i].argmin(axis=1)
+        t = clock[rows, v]
+        parents[:, i - 1] = v
+        clock[rows, v] = t + draws[:, 2 * i - 1]
+        clock[:, i] = t + draws[:, 2 * i]
+    return parents
 
 
 def renewal_count_samples(

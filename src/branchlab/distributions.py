@@ -8,6 +8,7 @@ and finite second moment by construction.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -93,8 +94,11 @@ def make_distribution(descriptor: str) -> IncrementDistribution:
     """Parse a law descriptor of the form name(p1[,p2]).
 
     Recognized names: exp, gamma, uniform, det. Raises ValueError for an
-    unknown kind, a wrong parameter count, or parameters outside the
-    admissible range (nonpositive rate/shape/d, a < 0, b <= a).
+    unknown kind, a wrong parameter count, a non-finite parameter,
+    parameters outside the admissible range (nonpositive rate/shape/d,
+    a < 0, b <= a), or a law whose moments leave the double range: mu and
+    the second moment must be finite and > 0, and sigma2 finite, and > 0
+    unless the law is det.
     """
     m = _DESCRIPTOR_RE.match(descriptor)
     if not m:
@@ -105,7 +109,29 @@ def make_distribution(descriptor: str) -> IncrementDistribution:
         params = tuple(float(p) for p in raw)
     except ValueError as exc:
         raise ValueError(f"non-numeric parameter in descriptor {descriptor!r}") from exc
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"parameters must be finite in {descriptor!r}")
+    degenerate = f"{descriptor!r} has moments outside the double range"
+    try:
+        dist = _law(kind, params)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(degenerate) from exc
+    if not (
+        0.0 < dist.mu < math.inf
+        and 0.0 < dist.second_moment < math.inf
+        and (0.0 < dist.sigma2 < math.inf or (kind == "det" and dist.sigma2 == 0.0))
+    ):
+        raise ValueError(degenerate)
+    return dist
 
+
+def _law(kind: str, params: tuple[float, ...]) -> IncrementDistribution:
+    """The law of one kind with finite params, its moments in closed form.
+
+    Raises ValueError for an unknown kind, a wrong parameter count or an
+    inadmissible parameter; the moment arithmetic may raise OverflowError
+    or ZeroDivisionError.
+    """
     if kind == "exp":
         if len(params) != 1:
             raise ValueError("exp takes exactly one parameter: exp(rate)")

@@ -5,6 +5,7 @@ in replicate order, so outputs are byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -13,19 +14,44 @@ import numpy as np
 
 from .rng import RngStream
 
+# (executor, size) of the pool a shared_pool block keeps open, else None
+_shared = None
+
 
 def _run_chunk(args):
     task, seed, lo, hi = args
     return [task(RngStream(seed, r)) for r in range(lo, hi)]
 
 
+@contextlib.contextmanager
+def shared_pool(workers: int):
+    """Serve every pooled map_replicated call in the block from one pool.
+
+    The pool holds min(workers, cpu count) processes and is shut down when
+    the block ends. With workers == 1 no pool starts and each pooled call
+    starts its own, as outside the block.
+    """
+    global _shared
+    if workers < 2:
+        yield
+        return
+    procs = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        _shared = (pool, procs)
+        try:
+            yield
+        finally:
+            _shared = None
+
+
 def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
     """Evaluate task(RngStream(seed, r)) for r in 0..n_reps-1, in order.
 
     task must be picklable (a module-level callable or functools.partial of
-    one) when workers > 1. The pool then starts min(workers, n_reps, cpu
-    count) processes and hands them about four chunks of replicates each.
-    Returns the stacked numpy array of results.
+    one) when workers > 1. The call then runs on min(workers, n_reps, cpu
+    count) processes, handing them about four chunks of replicates each:
+    in the pool of an enclosing shared_pool block (capped by its size), or
+    else in a pool of its own. Returns the stacked numpy array of results.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -35,13 +61,18 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
         rows = _run_chunk((task, seed, 0, n_reps))
     else:
         procs = min(workers, n_reps, os.cpu_count() or 1)
+        if _shared is None:
+            pool = ProcessPoolExecutor(max_workers=procs)
+        else:
+            procs = min(procs, _shared[1])
+            pool = contextlib.nullcontext(_shared[0])
         chunk_size = math.ceil(n_reps / (procs * 4))
         chunks = [
             (task, seed, lo, min(lo + chunk_size, n_reps))
             for lo in range(0, n_reps, chunk_size)
         ]
         rows = []
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            for part in pool.map(_run_chunk, chunks):
+        with pool as executor:
+            for part in executor.map(_run_chunk, chunks):
                 rows.extend(part)
     return np.stack(rows)

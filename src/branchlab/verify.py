@@ -24,11 +24,11 @@ import numpy as np
 
 from ._version import __version__
 from .cmj import (
+    _embedded_parent_matrix,
     _kept_sums,
     _walk_stream,
     generation_counts,
     renewal_count_samples,
-    simulate_embedded_rrt,
 )
 from .distributions import make_distribution
 from .errors import BranchLabError
@@ -50,7 +50,7 @@ from .renewal import (
     yk3_exact,
 )
 from .rng import mix64
-from .runner import map_replicated
+from .runner import map_replicated, shared_pool
 from .stat_tests import empirical_cov, functional_grid_test, ks_two_sample, max_dev_se
 
 _TWO_SAMPLE_CRIT = 1.9495  # sqrt(-ln(alpha/2)/2) at alpha = 0.001
@@ -98,10 +98,11 @@ def _entry(
 # replicate tasks (module level so worker processes can unpickle them)
 
 
-def _embedding_task(rng, n, k_hi):
-    direct = generate_rrt(n + 1, rng).parent[1:]
-    emb = simulate_embedded_rrt(n, rng).tree.parent[1:]
-    return level_counts_batch(np.stack([direct, emb]), k_hi).ravel().astype(float)
+def _embedding_task(rng, n, k_hi, n_trees):
+    """Levels 1..k_hi of n_trees uniform-attachment and n_trees clock-grown trees, side by side."""
+    direct = level_counts_batch(generate_parent_matrix(n_trees, n + 1, rng), k_hi)
+    emb = level_counts_batch(_embedded_parent_matrix(n_trees, n, rng), k_hi)
+    return np.hstack([direct, emb]).astype(float)
 
 
 def _tree_batch_task(rng, n_plus_1, k_hi, n_trees):
@@ -167,8 +168,8 @@ def _test_cov_closed_form(cfg, seed):
 def _test_embedding_ks(cfg, seed):
     n, k_hi = 500, 3
     m = 1000 if cfg.quick else 5000
-    task = partial(_embedding_task, n=n, k_hi=k_hi)
-    rows = map_replicated(task, m, seed, workers=cfg.workers)
+    task = partial(_embedding_task, n=n, k_hi=k_hi, n_trees=200)
+    rows = map_replicated(task, m // 200, seed, workers=cfg.workers).reshape(m, 2 * k_hi)
     budget = _TWO_SAMPLE_CRIT * math.sqrt(2.0 / m)
     out = []
     for k in range(1, k_hi + 1):
@@ -490,28 +491,30 @@ def verify_suite(cfg: VerifyConfig) -> dict:
     tests at the end never reshuffles existing results. The manifest's
     determinism_hash covers only seed-determined content (config core,
     results, summary); wall time, each group's wall time and the worker
-    count live outside the hash.
+    count live outside the hash. With cfg.workers > 1 every group runs in
+    one worker pool, shut down when the run ends.
     """
     started = time.monotonic()
     results = []
     group_wall_s = {}
-    for ordinal, (group, fn) in enumerate(_REGISTRY):
-        test_seed = mix64(cfg.master_seed, ordinal)
-        group_started = time.monotonic()
-        try:
-            results.extend(fn(cfg, test_seed))
-        except (BranchLabError, MemoryError) as exc:
-            results.append(
-                _entry(
-                    f"{group}.skipped",
-                    None,
-                    None,
-                    True,
-                    skipped=True,
-                    details={"error": f"{type(exc).__name__}: {exc}"},
+    with shared_pool(cfg.workers):
+        for ordinal, (group, fn) in enumerate(_REGISTRY):
+            test_seed = mix64(cfg.master_seed, ordinal)
+            group_started = time.monotonic()
+            try:
+                results.extend(fn(cfg, test_seed))
+            except (BranchLabError, MemoryError) as exc:
+                results.append(
+                    _entry(
+                        f"{group}.skipped",
+                        None,
+                        None,
+                        True,
+                        skipped=True,
+                        details={"error": f"{type(exc).__name__}: {exc}"},
+                    )
                 )
-            )
-        group_wall_s[group] = time.monotonic() - group_started
+            group_wall_s[group] = time.monotonic() - group_started
     gating = [r for r in results if r["gating"]]
     summary = {
         "n_results": len(results),

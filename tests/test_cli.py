@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import configuration, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab import gaussian_limit, recursive_tree, renewal
@@ -16,11 +16,6 @@ from branchlab.renewal import table_from_csv
 from branchlab.verify import _REGISTRY, manifest_core_bytes
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json"
-
-# Even with database=None, Hypothesis caches the constants it reads from local
-# source files under its home directory (at collection time, so this must run
-# at import); keep that cache out of the working tree.
-configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "branchlab-hypothesis")
 
 
 def run(capsys, *argv):
@@ -159,6 +154,16 @@ def test_cmj_rejects_bad_descriptor(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "dist", ["exp(1e300)", "uniform(1e308,1.7e308)", "gamma(1e-300,1e-300)", "exp(nan)", "uniform(0,1e-300)"]
+)
+def test_degenerate_law_is_usage_error(tmp_path, capsys, dist):
+    code, out, err = run(capsys, "renewal-table", "--dist", dist, "--output-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and dist in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_renewal_table_round_trip(tmp_path, capsys):

@@ -13,6 +13,7 @@ from branchlab.cli import main
 from branchlab.cmj import (
     MAX_EMBEDDED_BIRTHS,
     CapExceededError,
+    _embedded_parent_matrix,
     _walk_stream,
     count_generation,
     decomposition_terms,
@@ -308,21 +309,33 @@ def test_embedded_tree_refuses_births_past_the_cap():
             simulate_embedded_rrt(n, RngStream(6, 2))
 
 
+@pytest.mark.parametrize("n, n_trees", [(0, 3), (1, 5), (2, 1), (37, 64), (500, 20)])
+def test_embedded_parent_matrix_rows_are_the_heap_trees(n, n_trees):
+    """Row r equals the r-th of n_trees heap-grown trees on one stream, byte for byte."""
+    batch_rng, heap_rng = RngStream(53, 1), RngStream(53, 1)
+    batch = _embedded_parent_matrix(n_trees, n, batch_rng)
+    heap = [simulate_embedded_rrt(n, heap_rng).tree.parent[1:] for _ in range(n_trees)]
+    assert batch.shape == (n_trees, n)
+    assert batch.dtype == np.int64
+    assert batch.tobytes() == np.stack(heap).tobytes()
+    # both consumed the same draws
+    assert batch_rng.gen.random() == heap_rng.gen.random()
+
+
 def test_embedded_profile_matches_uniform_attachment():
     """The clock construction and uniform attachment must agree in law.
 
     Compared through the level-1 count of a 201-vertex tree with a
-    two-sample test at the 0.001 level.
+    two-sample test at the 0.001 level. The clock side is the batch race,
+    which the byte-equality test above ties to the heap.
     """
     n, m = 200, 1500
     direct = np.empty(m)
-    embedded = np.empty(m)
     for r in range(m):
         d = generate_rrt(n + 1, RngStream(51, r)).depths()
         direct[r] = float(np.count_nonzero(d == 1))
-        e = simulate_embedded_rrt(n, RngStream(52, r)).tree.depths()
-        embedded[r] = float(np.count_nonzero(e == 1))
-    report = ks_two_sample(direct, embedded)
+    embedded = np.count_nonzero(_embedded_parent_matrix(m, n, RngStream(52, 0)) == 0, axis=1)
+    report = ks_two_sample(direct, embedded.astype(float))
     assert report.statistic < 1.9495 * math.sqrt(2.0 / m)
 
 

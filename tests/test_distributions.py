@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab.distributions import lorden_constant, make_distribution
 from branchlab.rng import RngStream
@@ -48,6 +50,48 @@ def test_parser_rejects_garbage():
     for text in ["exp", "exp()", "exp(-1)", "gamma(2)", "uniform(2,1)", "det(0)", "nope(1)"]:
         with pytest.raises(ValueError):
             make_distribution(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(1e300)",  # sigma2 overflows
+        "exp(1e-300)",  # mu**2 overflows
+        "uniform(1e308,1.7e308)",
+        "gamma(1e-300,1e-300)",
+        "exp(nan)",
+        "exp(inf)",
+        "gamma(nan,1)",
+        "gamma(1,-inf)",
+        "uniform(0,inf)",
+        "det(inf)",
+        "uniform(0,1e-300)",  # second moment underflows to 0
+        "det(1e-320)",
+        "uniform(1e-160,1.0000000000000002e-160)",  # sigma2 underflows to 0
+    ],
+)
+def test_degenerate_law_is_refused(text):
+    with pytest.raises(ValueError):
+        make_distribution(text)
+
+
+_PARAMS = st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 1e-310, -1e-310,
+     math.inf, -math.inf, math.nan, 0.5, 1.0, 2.0, 3.7, 1e3]
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.sampled_from(["exp", "gamma", "uniform", "det"]), st.lists(_PARAMS, min_size=1, max_size=2))
+def test_any_descriptor_gives_finite_moments_or_value_error(kind, params):
+    text = f"{kind}({','.join(map(repr, params))})"
+    try:
+        d = make_distribution(text)
+    except ValueError:
+        return
+    assert 0.0 < d.mu < math.inf
+    assert 0.0 < d.second_moment < math.inf
+    assert 0.0 <= d.sigma2 < math.inf
 
 
 def test_cdf_values():

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +56,7 @@ def test_argument_validation():
 @pytest.mark.parametrize(
     "group",
     [
+        "embedding_ks",
         "profile_small_n_tv",
         "limit_sampler_cov",
         "second_moment_identity",
@@ -73,3 +76,33 @@ def test_registry_group_draws_through_the_runner(monkeypatch, group):
     pooled = fn(verify.VerifyConfig(quick=True, workers=2), 7)
     assert calls == [2]
     assert pooled == fn(verify.VerifyConfig(quick=True, workers=1), 7)
+
+
+def test_verify_run_keeps_one_pool(monkeypatch):
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    manifest = verify.verify_suite(verify.VerifyConfig(master_seed=3, workers=2, quick=True))
+    assert manifest["summary"]["all_gating_pass"]
+    assert started == [min(2, os.cpu_count() or 1)]
+    assert multiprocessing.active_children() == []
+
+
+def test_shared_pool_serves_map_replicated(monkeypatch):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _InProcessPool.sizes = []
+    serial = runner.map_replicated(_task, 40, 11)
+    with runner.shared_pool(3):
+        first = runner.map_replicated(_task, 40, 11, workers=2)
+        second = runner.map_replicated(_task, 40, 11, workers=8)
+    assert _InProcessPool.sizes == [3]
+    assert first.tobytes() == second.tobytes() == serial.tobytes()
+    with runner.shared_pool(1):
+        runner.map_replicated(_task, 40, 11, workers=2)
+    assert _InProcessPool.sizes == [3, 2]

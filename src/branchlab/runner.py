@@ -14,7 +14,7 @@ import numpy as np
 
 from .rng import RngStream
 
-# (executor, size) of the pool a shared_pool block keeps open, else None
+# the pool a shared_pool block keeps open, else None
 _shared = None
 
 
@@ -35,9 +35,8 @@ def shared_pool(workers: int):
     if workers < 2:
         yield
         return
-    procs = min(workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        _shared = (pool, procs)
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        _shared = pool
         try:
             yield
         finally:
@@ -48,10 +47,11 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
     """Evaluate task(RngStream(seed, r)) for r in 0..n_reps-1, in order.
 
     task must be picklable (a module-level callable or functools.partial of
-    one) when workers > 1. The call then runs on min(workers, n_reps, cpu
-    count) processes, handing them about four chunks of replicates each:
-    in the pool of an enclosing shared_pool block (capped by its size), or
-    else in a pool of its own. Returns the stacked numpy array of results.
+    one) when workers > 1. The call then cuts the replicates into about
+    four chunks per process, for min(workers, n_reps, cpu count)
+    processes, and maps them on the pool of an enclosing shared_pool block,
+    or else on a pool of that many processes of its own. Returns the
+    stacked numpy array of results.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -64,8 +64,7 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
         if _shared is None:
             pool = ProcessPoolExecutor(max_workers=procs)
         else:
-            procs = min(procs, _shared[1])
-            pool = contextlib.nullcontext(_shared[0])
+            pool = contextlib.nullcontext(_shared)
         chunk_size = math.ceil(n_reps / (procs * 4))
         chunks = [
             (task, seed, lo, min(lo + chunk_size, n_reps))

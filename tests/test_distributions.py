@@ -82,7 +82,10 @@ _PARAMS = st.sampled_from(
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(st.sampled_from(["exp", "gamma", "uniform", "det"]), st.lists(_PARAMS, min_size=1, max_size=2))
+@given(
+    st.sampled_from(["exp", "gamma", "uniform", "det"]),
+    st.lists(_PARAMS, min_size=1, max_size=2),
+)
 def test_any_descriptor_gives_finite_moments_or_value_error(kind, params):
     text = f"{kind}({','.join(map(repr, params))})"
     try:

@@ -55,8 +55,8 @@ def test_parser_rejects_garbage():
 @pytest.mark.parametrize(
     "text",
     [
-        "exp(1e300)",  # sigma2 overflows
-        "exp(1e-300)",  # mu**2 overflows
+        "exp(1e300)",  # rate**2 overflows
+        "exp(1e-300)",  # rate**2 underflows to 0
         "uniform(1e308,1.7e308)",
         "gamma(1e-300,1e-300)",
         "exp(nan)",

@@ -164,56 +164,46 @@ def _resolve_out(args, default_name: str) -> str:
     return os.path.join(directory, args.out or default_name)
 
 
-def _cmd_gen_tree(args) -> int:
-    tree = generate_rrt(args.n + 1, RngStream(args.seed, 0))
-    path = _resolve_out(args, f"tree_n{args.n}_seed{args.seed}.csv")
-    write_tree_csv(path, tree)
+def _write(args, default_name: str, writer, obj) -> int:
+    path = _resolve_out(args, default_name)
+    writer(path, obj)
     print(path)
     return 0
+
+
+def _cmd_gen_tree(args) -> int:
+    tree = generate_rrt(args.n + 1, RngStream(args.seed, 0))
+    return _write(args, f"tree_n{args.n}_seed{args.seed}.csv", write_tree_csv, tree)
 
 
 def _cmd_profile_path(args) -> int:
     grid = np.asarray(_parse_grid(args.t_grid), dtype=float)
     ppath = grow_and_record(args.n_base, grid, args.k_max, RngStream(args.seed, 0))
-    path = _resolve_out(args, f"profile_path_b{args.n_base}_seed{args.seed}.csv")
-    write_profile_path_csv(path, ppath)
-    print(path)
-    return 0
+    name = f"profile_path_b{args.n_base}_seed{args.seed}.csv"
+    return _write(args, name, write_profile_path_csv, ppath)
 
 
 def _cmd_cmj(args) -> int:
     if args.embedded is not None:
         emb = simulate_embedded_rrt(args.embedded, RngStream(args.seed, 0))
-        path = _resolve_out(args, f"embedded_n{args.embedded}_seed{args.seed}.csv")
-        write_embedded_tree_csv(path, emb)
-        print(path)
-        return 0
+        name = f"embedded_n{args.embedded}_seed{args.seed}.csv"
+        return _write(args, name, write_embedded_tree_csv, emb)
     dist = make_distribution(args.dist)
     traj = simulate_cmj(dist, args.horizon, args.k_max, RngStream(args.seed, 0))
-    path = _resolve_out(
-        args, f"cmj_{dist.kind}_T{format_float(args.horizon)}_seed{args.seed}.csv"
-    )
-    write_trajectory_csv(path, traj)
-    print(path)
-    return 0
+    name = f"cmj_{dist.kind}_T{format_float(args.horizon)}_seed{args.seed}.csv"
+    return _write(args, name, write_trajectory_csv, traj)
 
 
 def _cmd_renewal_table(args) -> int:
     dist = make_distribution(args.dist)
     table = build_renewal_table(dist, args.t_max, h=args.h, k_max=args.k_max)
-    path = _resolve_out(args, f"renewal_{dist.kind}_k{table.k_max}.csv")
-    write_renewal_table_csv(path, table)
-    print(path)
-    return 0
+    return _write(args, f"renewal_{dist.kind}_k{table.k_max}.csv", write_renewal_table_csv, table)
 
 
 def _cmd_limit_sample(args) -> int:
     cov = build_cov_matrix(args.k_max, _parse_grid(args.t_grid))
     draw = sample_limit(cov, args.m, RngStream(args.seed, 0))
-    path = _resolve_out(args, f"limit_samples_seed{args.seed}.csv")
-    write_samples_csv(path, draw)
-    print(path)
-    return 0
+    return _write(args, f"limit_samples_seed{args.seed}.csv", write_samples_csv, draw)
 
 
 def _cmd_covariance(args) -> int:
@@ -222,10 +212,7 @@ def _cmd_covariance(args) -> int:
         return 0
     if args.t_grid is not None:
         cov = build_cov_matrix(args.k_max, _parse_grid(args.t_grid))
-        path = _resolve_out(args, f"covariance_k{args.k_max}.csv")
-        write_cov_csv(path, cov)
-        print(path)
-        return 0
+        return _write(args, f"covariance_k{args.k_max}.csv", write_cov_csv, cov)
     raise ValueError("covariance needs either --k/--l/--s/--u or --k-max/--t-grid")
 
 

@@ -40,6 +40,11 @@ from .renewal import RenewalTable
 from .rng import RngStream
 
 MAX_EVENTS = 2**28
+# With m = horizon/mu, a run of k_max >= 40 generations and m >= 20 expects
+# about e**20 > MAX_EVENTS events. So every admitted run that deep has
+# m < 20, and generation 2**10 expects fewer than 1e-1000 events: a larger
+# k_max would only loop over empty generations.
+MAX_GENERATIONS = 2**10
 # The embedded tree's heap holds one Python tuple per vertex: a birth costs
 # about 10 us and 150 bytes, so 2**22 births take about 45 s and 650 MB.
 MAX_EMBEDDED_BIRTHS = 2**22
@@ -119,9 +124,19 @@ class DecompositionTerms:
 
 
 def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int) -> float:
-    """Leading-order estimate sum_k (horizon/mu)^k / k! used for the cap check."""
+    """Leading-order estimate sum_k (horizon/mu)^k / k! used for the cap check.
+
+    Each term is the last one times m/k, so a sum past the double range
+    reads inf rather than raising OverflowError.
+    """
     m = horizon / dist.mu
-    return float(sum(m**k / math.factorial(k) for k in range(1, k_max + 1)))
+    total, term = 0.0, 1.0
+    for k in range(1, k_max + 1):
+        term *= m / k
+        total += term
+        if term == 0.0 or total == math.inf:  # no later term moves the sum
+            break
+    return total
 
 
 def _walk_stream(dist: IncrementDistribution, rng: RngStream, budgets):
@@ -207,13 +222,16 @@ def _generations(dist, horizon, k_max, rng, leaf=None):
     are generation g in creation order. Returns [(times, parent_rows)] per
     generation in creation order. Given leaf, the last generation is not
     built: its _walk_stream blocks go to leaf(births, lo, C, s, q) instead.
-    Raises CapExceededError when the expected or the running event count
-    exceeds MAX_EVENTS, or when a walk cannot pass its budget.
+    Raises CapExceededError when k_max exceeds MAX_GENERATIONS, when the
+    expected or the running event count exceeds MAX_EVENTS, or when a walk
+    cannot pass its budget.
     """
     if not horizon >= 0:
         raise ValueError("horizon must be >= 0")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if k_max > MAX_GENERATIONS:
+        raise CapExceededError(f"{k_max} generations exceed the cap {MAX_GENERATIONS}")
     if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
         raise CapExceededError("expected event count exceeds the cap")
     births = np.zeros(1)
@@ -397,7 +415,7 @@ def decomposition_terms(
         raise ValueError("k must be >= 2")
     if k > traj.k_max:
         raise ValueError(f"trajectory holds generations 1..{traj.k_max}")
-    if table.dist.descriptor != traj.dist.descriptor:
+    if table.dist != traj.dist:
         raise ValueError("table and trajectory use different increment laws")
     if table.k_max < k:
         raise TableCoverageError(f"table must hold orders up to {k}")

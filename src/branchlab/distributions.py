@@ -37,7 +37,8 @@ class IncrementDistribution:
 
     @property
     def descriptor(self) -> str:
-        inner = ",".join(format(p, "g") for p in self.params)
+        """The law's name(p1[,p2]); make_distribution parses it back to an equal law."""
+        inner = ",".join(_param_text(p) for p in self.params)
         return f"{self.kind}({inner})"
 
     def sample(self, rng: RngStream, size=None) -> np.ndarray | float:
@@ -90,15 +91,21 @@ class IncrementDistribution:
         return np.where(x >= d, d, 0.0)
 
 
+def _param_text(p: float) -> str:
+    """Six significant digits when they are exact, else the shortest round-trip repr."""
+    text = format(p, "g")
+    return text if float(text) == p else repr(p)
+
+
 def make_distribution(descriptor: str) -> IncrementDistribution:
     """Parse a law descriptor of the form name(p1[,p2]).
 
     Recognized names: exp, gamma, uniform, det. Raises ValueError for an
     unknown kind, a wrong parameter count, a non-finite parameter,
     parameters outside the admissible range (nonpositive rate/shape/d,
-    a < 0, b <= a), or a law whose moments leave the double range: mu and
-    the second moment must be finite and > 0, and sigma2 finite, and > 0
-    unless the law is det.
+    a < 0, b <= a), or a law whose moments leave the double range: mu,
+    1/mu and the second moment must be finite and > 0, and sigma2 finite,
+    and > 0 unless the law is det.
     """
     m = _DESCRIPTOR_RE.match(descriptor)
     if not m:
@@ -118,6 +125,7 @@ def make_distribution(descriptor: str) -> IncrementDistribution:
         raise ValueError(degenerate) from exc
     if not (
         0.0 < dist.mu < math.inf
+        and 1.0 / dist.mu < math.inf
         and 0.0 < dist.second_moment < math.inf
         and (0.0 < dist.sigma2 < math.inf or (kind == "det" and dist.sigma2 == 0.0))
     ):

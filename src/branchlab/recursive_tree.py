@@ -19,7 +19,8 @@ from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
 # grow_and_record's snapshot cells (grid points times levels): 2**20 of them
-# take about 0.45 s and 180 MB through the profile-path CSV (2 cores).
+# take about 1.7 s and 120 MB through the profile-path CSV, start-up
+# included (2 cores).
 MAX_PATH_CELLS = 2**20
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences

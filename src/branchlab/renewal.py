@@ -25,8 +25,9 @@ from .errors import CapExceededError, TableCoverageError
 # and no registry table exceeds 50k cells.
 MAX_GRID_CELLS = 2**18
 # renewal-table writes k_max * (cells + 1) values at 17 digits. On 2 cores,
-# 2**22 values take 8.2 s and 416 MB at 5001 points and 838 orders (a 94 MB
-# CSV), and 13.7 s and 448 MB at 2**18 cells and 16 orders, solve included.
+# 2**22 values take about 7 s and 150 MB at 5001 points and 838 orders (a
+# 94 MB CSV), and 12-16 s and 150 MB at 2**18 cells and 16 orders, solve
+# included.
 # MAX_SAMPLE_CELLS caps limit-sample's CSV at the same size.
 MAX_TABLE_VALUES = 2**22
 

@@ -158,7 +158,14 @@ def test_cmj_rejects_bad_descriptor(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "dist",
-    ["exp(1e300)", "uniform(1e308,1.7e308)", "gamma(1e-300,1e-300)", "exp(nan)", "det(1e-320)"],
+    [
+        "exp(1e300)",
+        "uniform(1e308,1.7e308)",
+        "gamma(1e-300,1e-300)",
+        "exp(nan)",
+        "det(1e-320)",
+        "gamma(5e-324,1)",
+    ],
 )
 def test_degenerate_law_is_usage_error(tmp_path, capsys, dist):
     code, out, err = run(capsys, "renewal-table", "--dist", dist, "--output-dir", str(tmp_path))
@@ -242,11 +249,14 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
         ["limit-sample", "--k-max", "2", "--t-grid", "1", "--m", "1000000000000"],
         ["covariance", "--k-max", "100000", "--t-grid", "1"],
         ["profile-path", "--n-base", "10", "--t-grid", "1", "--k-max", "1000000000000"],
+        ["cmj", "--dist", "gamma(1e-300,1)", "--horizon", "5", "--k-max", "2"],
+        ["cmj", "--horizon", "1", "--k-max", "100000000"],
     ],
 )
 def test_sizes_past_their_caps_are_usage_errors(tmp_path, capsys, argv):
     # each is refused before its array is allocated (14.6 TiB of draws, a
-    # 74.5 GiB matrix, a 7.28 TiB snapshot table)
+    # 74.5 GiB matrix, a 7.28 TiB snapshot table, an expected event count
+    # past the double range: horizon/mu = 5e300, 10**8 generations)
     code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
     assert out == ""

@@ -114,6 +114,8 @@ def test_count_generation_range_errors():
 def test_expected_event_count_oracle():
     assert expected_event_count(EXP1, 10.0, 2) == pytest.approx(60.0)
     assert expected_event_count(GAMMA22, 4.0, 1) == pytest.approx(4.0)
+    # 200! is past the double range, the terms are not
+    assert expected_event_count(EXP1, 1.0, 200) == pytest.approx(math.e - 1.0)
 
 
 def test_cap_precheck_raises():
@@ -386,3 +388,10 @@ def test_decomposition_validation(exp_table_200, exp_trajs_200):
     low_order = build_renewal_table(EXP1, 200.0, h=1.0, k_max=1)
     with pytest.raises(TableCoverageError):
         decomposition_terms(traj, low_order, 2, 10.0)
+
+
+def test_decomposition_refuses_a_table_of_a_nearby_law(exp_trajs_200):
+    # exp(1.0000001) and exp(1) printed alike at six digits
+    near = build_renewal_table(make_distribution("exp(1.0000001)"), 20.0, h=0.1, k_max=2)
+    with pytest.raises(ValueError, match="different increment laws"):
+        decomposition_terms(exp_trajs_200[0], near, 2, 5.0)

@@ -68,11 +68,23 @@ def test_parser_rejects_garbage():
         "uniform(0,1e-300)",  # second moment underflows to 0
         "det(1e-320)",
         "uniform(1e-160,1.0000000000000002e-160)",  # sigma2 underflows to 0
+        "gamma(5e-324,1)",  # 1/mu overflows
     ],
 )
 def test_degenerate_law_is_refused(text):
     with pytest.raises(ValueError):
         make_distribution(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["exp(1)", "gamma(2,2)", "uniform(0.5,1.5)", "det(1)", "exp(0.1)", "gamma(1e-300,1)",
+     "uniform(1,1.0000001)", "exp(1.0000001)"],  # the last two printed as their neighbours
+)
+def test_descriptor_keeps_its_text_and_parses_back_to_an_equal_law(text):
+    d = make_distribution(text)
+    assert d.descriptor == text
+    assert make_distribution(d.descriptor) == d
 
 
 _PARAMS = st.sampled_from(
@@ -93,8 +105,10 @@ def test_any_descriptor_gives_finite_moments_or_value_error(kind, params):
     except ValueError:
         return
     assert 0.0 < d.mu < math.inf
+    assert 1.0 / d.mu < math.inf
     assert 0.0 < d.second_moment < math.inf
     assert 0.0 <= d.sigma2 < math.inf
+    assert make_distribution(d.descriptor) == d
 
 
 def test_cdf_values():

@@ -1,10 +1,14 @@
 import json
 import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from branchlab import fileio
 from branchlab.cli import main
 from branchlab.cmj import simulate_cmj, simulate_embedded_rrt
 from branchlab.distributions import make_distribution
@@ -26,6 +30,8 @@ from branchlab.gaussian_limit import build_cov_matrix, sample_limit
 from branchlab.recursive_tree import generate_rrt, grow_and_record
 from branchlab.renewal import build_renewal_table, table_from_csv
 from branchlab.rng import RngStream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _cell(v) -> str:
@@ -274,3 +280,88 @@ def test_cli_artifacts_match_cell_by_cell_text(tmp_path, capsys, argv, rows):
     expected = _csv_text(rows()).encode("utf-8")
     assert expected.count(b"\n") > 10
     assert written.read_bytes() == expected
+
+
+def _artifacts():
+    """Every CSV writer with an artifact of many rows; items 1 and 4 are header-only."""
+    cov = build_cov_matrix(3, (0.25, 0.5, 1.0))
+    exp1 = make_distribution("exp(1)")
+    return [
+        (write_tree_csv, generate_rrt(50, RngStream(1, 0))),
+        (write_tree_csv, generate_rrt(1, RngStream(1, 0))),
+        (write_profile_path_csv, grow_and_record(500, (0.2, 0.4, 0.6, 0.8, 1.0), 4,
+                                                 RngStream(2, 0))),
+        (write_trajectory_csv, simulate_cmj(exp1, 6.0, 2, RngStream(3, 0))),
+        (write_trajectory_csv, simulate_cmj(exp1, 0.0, 2, RngStream(3, 0))),
+        (write_embedded_tree_csv, simulate_embedded_rrt(40, RngStream(4, 0))),
+        (write_renewal_table_csv, build_renewal_table(make_distribution("gamma(2,2)"), 3.0,
+                                                      h=0.1, k_max=3)),
+        (write_cov_csv, cov),
+        (write_samples_csv, sample_limit(cov, 30, RngStream(5, 0))),
+    ]
+
+
+def test_block_boundaries_do_not_move_a_byte(tmp_path, monkeypatch):
+    whole = []
+    for i, (writer, obj) in enumerate(_artifacts()):
+        writer(tmp_path / f"whole{i}.csv", obj)
+        whole.append((tmp_path / f"whole{i}.csv").read_bytes())
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 12)
+    blocks = []
+    for i, (writer, obj) in enumerate(_artifacts()):
+        writer(tmp_path / f"blocks{i}.csv", obj)
+        assert (tmp_path / f"blocks{i}.csv").read_bytes() == whole[i]
+        header, body = whole[i].split(b"\n", 1)
+        rows_per_block = max(1, 12 // (header.count(b",") + 1))
+        blocks.append(-(-body.count(b"\n") // rows_per_block))
+    assert whole[1] == b"vertex,parent\n"  # the tree of gen-tree --n 0
+    assert blocks[1] == blocks[4] == 0
+    assert min(blocks[:1] + blocks[2:4] + blocks[5:]) >= 4
+
+
+def test_writer_failing_mid_stream_keeps_the_old_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    atomic_write_text(target, "old\n")
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 2)
+    column = np.array([1, 2, 3, 4, 5, "not a number"], dtype=object)
+    with pytest.raises(TypeError):
+        fileio._write_csv(target, "x", "%d", column)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_artifacts_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_tree_csv(tmp_path / "tree.csv", generate_rrt(5, RngStream(0, 0)))
+        atomic_write_text(tmp_path / "note.txt", "x\n")
+    finally:
+        os.umask(old)
+    for name in ("tree.csv", "note.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+
+
+# VmHWM is the peak of this process image alone; ru_maxrss would also keep
+# the peak of the test process that spawned it
+_GEN_TREE_PROBE = """
+import sys
+from branchlab.cli import main
+assert main(["gen-tree", "--n", "1000000", "--output-dir", sys.argv[1]]) == 0
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_tree_csv_streams_in_bounded_memory(tmp_path):
+    # about 120 MB, most of it the interpreter with numpy; holding the rows
+    # and their join at once took 203 MB
+    out = subprocess.run(
+        [sys.executable, "-c", _GEN_TREE_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert int(out.stdout.split()[-1]) < 150

@@ -134,8 +134,6 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     for k in range(1, k_max + 1):
         term *= m / k
         total += term
-        if term == 0.0 or total == math.inf:  # no later term moves the sum
-            break
     return total
 
 

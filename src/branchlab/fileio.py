@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -34,11 +33,10 @@ def _atomic_file(path):
     block exits cleanly and removed on any exception, leaving path as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    tmp = os.path.join(directory, f".tmp.{os.getpid()}.{os.urandom(8).hex()}.part")
+    f = open(tmp, "x", encoding="utf-8", newline="\n")  # O_EXCL, mode 0o666 less the umask
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            os.umask(umask := os.umask(0))  # read the umask: mkstemp made the file 0o600
-            os.chmod(tmp, 0o666 & ~umask)
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -6,16 +6,14 @@ by s, to produce the next generation. Trajectories record, per generation,
 the sorted birth times, the index of the first-generation ancestor, and the
 parent's position in the previous generation.
 
-All walks of one generation are cut from a single flat stream of
-increments. With C the cumulative sum of the stream, the walk of a parent
-born at b starts at some index s and keeps the sums C[i] - C[s] up to
-horizon - b; the first index q past that ends it, and the next parent's
-walk starts at q. Each q is a stopping time of an i.i.d. sequence, so the
-increments after it are fresh and independent of everything before (Gut,
-Stopped Random Walks, 2nd ed., Springer 2009): the walks are independent
-copies, and each draws only one increment that it does not keep. Parents
-are taken in creation order and the last generation is counted straight
-off the stream with searchsorted, so counting needs no sort.
+Every walk draws its own slot of increments, about three standard
+deviations longer than its expected step count, and the walks of one
+generation are drawn in passes of consecutive slots with one cumulative
+sum each. A walk keeps the sums within its budget horizon - b; one that is
+still within it at the end of its slot goes on from fresh draws in a later
+pass. The slots are disjoint, so the walks are independent copies (Gut,
+Stopped Random Walks, 2nd ed., Springer 2009). Counting a generation
+compares its births with the query times, so it needs no sort.
 
 The genealogical embedding ties this to uniform recursive trees: with unit
 rate exponential clocks, when j vertices are alive the next birth happens
@@ -39,7 +37,10 @@ from .recursive_tree import RecursiveTree
 from .renewal import RenewalTable
 from .rng import RngStream
 
-MAX_EVENTS = 2**28
+# A run holds about 33 bytes per event. simulate_cmj(exp(1), 16.46, 30) made 2.6e7
+# events in 16 s and 0.94 GB (fresh process, 2 cores): about 20 s and 1.2 GB at the
+# cap. The cmj command, writing its 0.63 GB CSV as well, took 48 s and 1.9 GB.
+MAX_EVENTS = 2**25
 # With m = horizon/mu, a run of k_max >= 40 generations and m >= 20 expects
 # about e**20 > MAX_EVENTS events. So every admitted run that deep has
 # m < 20, and generation 2**10 expects fewer than 1e-1000 events: a larger
@@ -48,9 +49,9 @@ MAX_GENERATIONS = 2**10
 # The embedded tree's heap holds one Python tuple per vertex: a birth costs
 # about 10 us and 150 bytes, so 2**22 births take about 45 s and 650 MB.
 MAX_EMBEDDED_BIRTHS = 2**22
-# The increment stream is drawn in chunks of at most this many values, so
-# extending it costs at most a few MB beyond the walks it must hold.
-_CHUNK = 1 << 18
+# One pass of the walk sampler draws at most this many increments, so it
+# costs a few MB beyond the sums the walks keep.
+_PASS = 1 << 18
 # A walk may draw up to 8 times its 10-sigma width. That covers laws as
 # skewed as gamma(1e-3,1e-3) at small budgets; a law that needs more cannot
 # pass its budget in bounded memory.
@@ -81,16 +82,17 @@ class CmjTrajectory:
     def merged_order(self):
         """Global event order (time, then generation, then creation order).
 
-        Returns (times, generations, ancestors), one entry per event.
+        Returns (times, generations, ancestors), one entry per event. Each
+        generation is stored in that order, so a stable sort by time of
+        their concatenation gives it.
         """
+        sizes = [t.shape[0] for t in self.times]
         all_t = np.concatenate(self.times) if self.times else np.empty(0)
-        gens = np.concatenate(
-            [np.full(t.shape[0], g + 1, dtype=np.int64) for g, t in enumerate(self.times)]
-        ) if self.times else np.empty(0, dtype=np.int64)
-        anc = np.concatenate(self.anc1) if self.anc1 else np.empty(0, dtype=np.int64)
-        seq = np.arange(all_t.shape[0])
-        order = np.lexsort((seq, gens, all_t))
-        return all_t[order], gens[order], anc[order]
+        order = np.argsort(all_t, kind="stable")
+        all_t = all_t[order]
+        gens = np.repeat(np.arange(1, len(sizes) + 1, dtype=np.int64), sizes)[order]
+        anc = np.concatenate(self.anc1)[order] if self.anc1 else np.empty(0, dtype=np.int64)
+        return all_t, gens, anc
 
 
 @dataclass(frozen=True)
@@ -137,92 +139,80 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     return total
 
 
-def _walk_stream(dist: IncrementDistribution, rng: RngStream, budgets):
-    """Cut one flat stream of increments into independent walks, one per budget.
+def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int = 0):
+    """Kept partial sums of independent increasing walks, one walk per budget.
 
-    Yields (lo, C, s, q) for consecutive row blocks. C holds partial sums
-    of the stream. Row lo + i is the walk C[s[i] + 1 :] - C[s[i]]; its
-    sums within budgets[lo + i] are C[s[i] + 1 : q[i]] - C[s[i]], and
-    C[q[i]] is the first sum past it. The next walk starts there:
-    s[i + 1] == q[i]. Each q[i] is a stopping time of the i.i.d. increment
-    sequence, so the increments after it are fresh and the walks are
-    independent copies. Only the overshoot increment of each walk and the
-    unused tail of the last chunk are wasted.
+    Returns (rows, sums), one entry per kept step: sums[j] <= budgets[rows[j]]
+    is a partial sum of walk rows[j]. Walk i draws its own slot of
+    ceil(m + 3 sigma + 4) increments, at most _PASS, where m and sigma are
+    the mean and standard deviation of its step count. One pass draws the
+    slots of consecutive walks, up to _PASS increments, takes one cumulative
+    sum and keeps every sum within its walk's budget. A walk whose whole
+    slot stays within its budget goes on from fresh draws in a later pass:
+    it is extended, never redrawn. The slots are disjoint, so the walks are
+    independent copies (Gut, Stopped Random Walks, 2nd ed., Springer 2009).
 
-    The stream grows in chunks of at most _CHUNK increments, sized by the
-    draws still expected; the buffer of a single walk longer than that
-    grows geometrically. Budgets must be finite and >= 0. A walk expected
-    to take more than MAX_EVENTS steps is refused up front, and one still
-    within its budget after _MAX_WIDTHS times its 10-sigma width cannot
-    pass it in bounded memory: both raise CapExceededError.
+    Budgets must be finite and >= 0. Raises CapExceededError when a walk
+    expects more than MAX_EVENTS steps (before any draw), when held plus
+    the sums kept pass MAX_EVENTS (checked per pass), or when a walk is
+    still within its budget after _MAX_WIDTHS times its 10-sigma width.
     """
     budgets = np.asarray(budgets, dtype=float)
     if not np.all(np.isfinite(budgets) & (budgets >= 0.0)):
         raise ValueError("walk budgets must be finite and >= 0")
-    n = budgets.shape[0]
-    mean = budgets / dist.mu
-    if n and mean.max() > MAX_EVENTS:
+    if budgets.size and budgets.max() / dist.mu > MAX_EVENTS:
         raise CapExceededError(f"a walk of {dist.descriptor} expects more than {MAX_EVENTS} steps")
-    var = np.maximum(mean, 1.0) * (dist.sigma2 / dist.mu**2)
-    bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(var) + 32.0)
-    # draws expected from row j on (sums kept plus one overshoot each), 3 sigma high
-    need = np.cumsum((mean + 1.0)[::-1])[::-1] + 3.0 * np.sqrt(np.cumsum(var[::-1])[::-1]) + 32.0
-    b = budgets.tolist()
-    C = np.zeros(1)
-    j = 0
-    while j < n:
-        have = C.shape[0]
-        if have < _CHUNK:
-            size = int(min(max(need[j] - have, have), _CHUNK))
-        else:  # walk j alone fills the buffer: grow it by half or more, not past its bound
-            size = int(min(max(need[j] - have, have // 2), bound[j] + 1 - have))
-        step = dist.sample(rng, size)
-        np.cumsum(step, out=step)
-        step += C[-1]
-        C = np.concatenate((C, step))
-        del step  # from here only C holds the chunk
-        search, item = C.searchsorted, C.item
-        end = C.shape[0]
-        cuts = [0]
-        s = 0
-        i = j
-        while i < n:
-            q = search(item(s) + b[i], "right")
-            if q == end:
-                break
-            cuts.append(q)
-            s = q
-            i += 1
-        if i > j:
-            cuts = np.array(cuts)
-            yield j, C, cuts[:-1], cuts[1:]
-            C = C[s:]
-            j = i
-        if j < n and C.shape[0] > bound[j]:
+    var = dist.sigma2 / dist.mu**2  # step-count variance per unit of mean
+    mean = budgets / dist.mu
+    bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(np.maximum(mean, 1.0) * var) + 32.0)
+    base = np.zeros(budgets.shape[0])  # the last kept sum of a walk that goes on
+    drawn = np.zeros(budgets.shape[0])
+    rows, sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    walks = np.arange(budgets.shape[0])
+    while walks.size:
+        m = (budgets[walks] - base[walks]) / dist.mu
+        width = np.ceil(m + 3.0 * np.sqrt(np.maximum(m, 1.0) * var) + 4.0)
+        width = np.minimum(width, _PASS).astype(np.int64)
+        ends = np.cumsum(width)
+        later, lo = [], 0
+        while lo < walks.size:
+            first = ends[lo] - width[lo]
+            hi = int(np.searchsorted(ends, first + _PASS, "right"))
+            take, w, stop = walks[lo:hi], width[lo:hi], ends[lo:hi] - first
+            s = dist.sample(rng, int(stop[-1]))
+            np.cumsum(s, out=s)
+            # restart each slot's sums from its walk's last kept sum
+            s -= np.repeat(np.concatenate(([0.0], s[stop[:-1] - 1])) - base[take], w)
+            keep = s <= np.repeat(budgets[take], w)
+            rows.append(np.repeat(take, w)[keep])
+            sums.append(s[keep])
+            held += rows[-1].shape[0]
+            if held > MAX_EVENTS:
+                raise CapExceededError("event count exceeds the cap")
+            on = keep[stop - 1]
+            base[take[on]] = s[stop[on] - 1]
+            drawn[take] += w
+            later.append(take[on])
+            lo = hi
+        walks = np.concatenate(later)
+        stuck = walks[drawn[walks] > bound[walks]]
+        if stuck.size:
             raise CapExceededError(
-                f"walk of {dist.descriptor} did not pass budget {b[j]:g} "
+                f"walk of {dist.descriptor} did not pass budget {budgets[stuck[0]]:g} "
                 f"within {_MAX_WIDTHS} times its sampling width"
             )
+    return np.concatenate(rows), np.concatenate(sums)
 
 
-def _kept_sums(C, s, q):
-    """Row and partial sum of every kept step in one _walk_stream block, row-major."""
-    n = q - s - 1
-    rows = np.repeat(np.arange(n.shape[0]), n)
-    first = np.repeat(s + 1 - (np.cumsum(n) - n), n)
-    return rows, C[np.arange(rows.shape[0]) + first] - np.repeat(C[s], n)
-
-
-def _generations(dist, horizon, k_max, rng, leaf=None):
+def _generations(dist, horizon, k_max, rng):
     """The one generation loop behind simulate_cmj and generation_counts.
 
-    Draws generations 1..k_max parent-major: the parents of generation g+1
-    are generation g in creation order. Returns [(times, parent_rows)] per
-    generation in creation order. Given leaf, the last generation is not
-    built: its _walk_stream blocks go to leaf(births, lo, C, s, q) instead.
-    Raises CapExceededError when k_max exceeds MAX_GENERATIONS, when the
-    expected or the running event count exceeds MAX_EVENTS, or when a walk
-    cannot pass its budget.
+    Draws generations 1..k_max: the walks of generation g+1 start at the
+    births of generation g. Returns [(times, parent_rows)] per generation,
+    in the order _walk_sums returns them; parent_rows index the previous
+    generation in that order. Raises CapExceededError when k_max exceeds
+    MAX_GENERATIONS, when the expected or the running event count exceeds
+    MAX_EVENTS, or when a walk cannot pass its budget.
     """
     if not horizon >= 0:
         raise ValueError("horizon must be >= 0")
@@ -235,22 +225,12 @@ def _generations(dist, horizon, k_max, rng, leaf=None):
     births = np.zeros(1)
     built = []
     total = 0
-    for g in range(1, k_max + 1):
-        times, rows = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for _ in range(k_max):
         # a birth can pass the horizon by a rounding error; its budget is then 0
-        for lo, C, s, q in _walk_stream(dist, rng, np.maximum(horizon - births, 0.0)):
-            total += int(q[-1] - s[0]) - s.shape[0]
-            if total > MAX_EVENTS:
-                raise CapExceededError("event count exceeds the cap")
-            if g == k_max and leaf is not None:
-                leaf(births, lo, C, s, q)
-                continue
-            r, sums = _kept_sums(C, s, q)
-            times.append(births[lo + r] + sums)
-            rows.append(lo + r)
-        if g < k_max or leaf is None:
-            births = np.concatenate(times)
-            built.append((births, np.concatenate(rows)))
+        rows, sums = _walk_sums(dist, rng, np.maximum(horizon - births, 0.0), total)
+        births = births[rows] + sums
+        total += births.shape[0]
+        built.append((births, rows))
     return built
 
 
@@ -263,9 +243,9 @@ def simulate_cmj(
     """Simulate generations 1..k_max up to the horizon.
 
     Generation-k_max individuals are leaves (their offspring are never
-    drawn). Generations are drawn parent-major in creation order and
-    sorted by birth time only for storage, so the draws are those of
-    generation_counts at the same stream. Raises CapExceededError when the
+    drawn). Generations are sorted by birth time only for storage, so the
+    draws are those of generation_counts at the same stream. Raises
+    CapExceededError when the
     expected or actual event count exceeds MAX_EVENTS, or when the law's
     walk cannot pass its budget.
     """
@@ -291,26 +271,14 @@ def generation_counts(
     Returns a (k_max, len(fractions)) int64 array: entry [k-1, i] is
     count_generation(simulate_cmj(dist, horizon, k_max, rng), k,
     fractions[i] * horizon) for the same stream, found without sorting any
-    generation or building the last one. The last generation is compared
-    on the stream's partial sums, not on stored birth times; the two round
-    differently only for a birth within a few ulps of the query time.
+    generation.
     """
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not np.all((fractions >= 0.0) & (fractions <= 1.0)):
         raise ValueError("fractions must be a 1-d sequence in [0, 1]")
     query = fractions * horizon
-    last = np.zeros(query.shape[0], dtype=np.int64)
-
-    def count_leaves(births, lo, C, s, q):
-        v = C[s, None] + (query - births[lo : lo + s.shape[0], None])
-        last[:] += np.maximum(np.searchsorted(C, v, "right") - s[:, None] - 1, 0).sum(axis=0)
-
-    built = _generations(dist, horizon, k_max, rng, count_leaves)
-    out = np.empty((k_max, query.shape[0]), dtype=np.int64)
-    for g, (t, _) in enumerate(built):
-        out[g] = np.count_nonzero(t[:, None] <= query, axis=0)
-    out[-1] = last
-    return out
+    built = _generations(dist, horizon, k_max, rng)
+    return np.array([[np.count_nonzero(t <= q) for q in query] for t, _ in built], dtype=np.int64)
 
 
 def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
@@ -392,10 +360,8 @@ def renewal_count_samples(
     """n_samples independent copies of the first-generation count at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    out = np.empty(n_samples, dtype=np.int64)
-    for lo, _, s, q in _walk_stream(dist, rng, np.full(n_samples, float(t))):
-        out[lo : lo + s.shape[0]] = q - s - 1
-    return out
+    rows, _ = _walk_sums(dist, rng, np.full(n_samples, float(t)))
+    return np.bincount(rows, minlength=n_samples)
 
 
 def decomposition_terms(
@@ -417,8 +383,7 @@ def decomposition_terms(
         raise ValueError("table and trajectory use different increment laws")
     if table.k_max < k:
         raise TableCoverageError(f"table must hold orders up to {k}")
-    if t > traj.horizon + 1e-9 * max(1.0, traj.horizon):
-        raise ValueError("query beyond the simulated horizon")
+    count = count_generation(traj, k, t)
 
     mu = traj.dist.mu
     s1 = traj.times[0]
@@ -426,7 +391,6 @@ def decomposition_terms(
     shot = float(np.sum(table.interp(k - 1, t - s1))) if s1.size else 0.0
     drift = table.integral(k - 1, t) / mu
     poly = t**k / (math.factorial(k) * mu**k)
-    count = count_generation(traj, k, t)
     return DecompositionTerms(
         k=k,
         t=t,

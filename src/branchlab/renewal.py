@@ -56,6 +56,10 @@ class RenewalTable:
     def grid(self) -> np.ndarray:
         return np.arange(self.uk.shape[1]) * self.h
 
+    def _check_covers(self, t) -> None:
+        if np.any(np.asarray(t) > self.tmax + 1e-9 * max(1.0, self.tmax)):
+            raise TableCoverageError(f"requested time beyond table horizon {self.tmax}")
+
     def _row(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.k_max:
             raise TableCoverageError(f"table holds orders 1..{self.k_max}, requested {k}")
@@ -65,8 +69,7 @@ class RenewalTable:
         """Linearly interpolated U_k(t); 0 for t < 0, error beyond the grid."""
         row = self._row(k)
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr > self.tmax + 1e-9 * max(1.0, self.tmax)):
-            raise TableCoverageError(f"requested time beyond table horizon {self.tmax}")
+        self._check_covers(t_arr)
         out = np.interp(np.maximum(t_arr, 0.0), self.grid, row)
         out = np.where(t_arr < 0, 0.0, out)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
@@ -76,8 +79,7 @@ class RenewalTable:
         row = self._row(k)
         if t < 0:
             return 0.0
-        if t > self.tmax + 1e-9 * max(1.0, self.tmax):
-            raise TableCoverageError(f"requested time beyond table horizon {self.tmax}")
+        self._check_covers(t)
         i = min(int(math.floor(t / self.h + 1e-12)), self.n_cells)
         full = 0.0
         if i >= 1:
@@ -229,8 +231,7 @@ def stieltjes_integral(table: RenewalTable, integrand, t: float) -> float:
     """
     if t < 0:
         return 0.0
-    if t > table.tmax + 1e-9 * max(1.0, table.tmax):
-        raise TableCoverageError(f"requested time beyond table horizon {table.tmax}")
+    table._check_covers(t)
     h = table.h
     U = table.uk[0]
     i = min(int(math.floor(t / h + 1e-12)), table.n_cells)

@@ -25,8 +25,7 @@ import numpy as np
 from ._version import __version__
 from .cmj import (
     _embedded_parent_matrix,
-    _kept_sums,
-    _walk_stream,
+    _walk_sums,
     generation_counts,
     renewal_count_samples,
 )
@@ -375,12 +374,8 @@ def _test_renewal_gamma(cfg, seed):
 
 def _shot_noise_squares(dist, table, k, t, m, rng):
     """m independent draws of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
-    vals = np.empty(m, dtype=float)
-    for lo, C, s, q in _walk_stream(dist, rng, np.full(m, t)):
-        rows, sums = _kept_sums(C, s, q)
-        contrib = np.interp(t - sums, table.grid, table.uk[k - 2])
-        vals[lo : lo + s.shape[0]] = np.bincount(rows, contrib, minlength=s.shape[0]) ** 2
-    return vals
+    rows, sums = _walk_sums(dist, rng, np.full(m, t))
+    return np.bincount(rows, np.interp(t - sums, table.grid, table.uk[k - 2]), minlength=m) ** 2
 
 
 def _test_second_moment_identity(cfg, seed):

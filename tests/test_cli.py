@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchlab import gaussian_limit, recursive_tree, renewal
+from branchlab import cmj, gaussian_limit, recursive_tree, renewal
 from branchlab.cli import _COMMANDS, main
 from branchlab.distributions import make_distribution
 from branchlab.renewal import table_from_csv
@@ -466,6 +466,34 @@ def test_renewal_orders_past_the_cap_are_usage_errors(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def _horizon_just_past_the_event_cap(k_max):
+    """The least horizon (to 1e-12 relative) whose expected exp(1) event count passes the cap."""
+    law = make_distribution("exp(1)")
+    lo, hi = 0.0, float(cmj.MAX_EVENTS + 1)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if cmj.expected_event_count(law, mid, k_max) > cmj.MAX_EVENTS:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("k_max", [1, 30])
+def test_cmj_runs_past_the_event_cap_are_usage_errors(tmp_path, capsys, monkeypatch, k_max):
+    def no_walks(*args):
+        raise AssertionError("walks drawn")
+
+    monkeypatch.setattr(cmj, "_walk_sums", no_walks)
+    horizon = _horizon_just_past_the_event_cap(k_max)
+    argv = ["--horizon", repr(horizon), "--k-max", str(k_max), "--output-dir", str(tmp_path)]
+    code, out, err = run(capsys, "cmj", *argv)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_renewal_grid_without_a_pivot_is_usage_error(tmp_path, capsys):
     # one cell of width 2**53 + 4: the solve refuses it instead of writing nan
     code, out, err = run(
@@ -489,6 +517,7 @@ def _numeric_cells(path):
 # Each subcommand's own flags; config keys may also be unknown or abbreviate one.
 _CONFIG_FLAGS = {
     "gen-tree": ("n", "seed"),
+    "cmj": ("dist", "horizon", "k-max", "seed", "embedded"),
     "profile-path": ("n-base", "t-grid", "k-max", "seed"),
     "renewal-table": ("dist", "t-max", "h", "k-max"),
     "limit-sample": ("k-max", "t-grid", "m", "seed"),
@@ -505,19 +534,32 @@ _SCALARS = (
     | st.text(max_size=6)
 )
 _VALUES = _SCALARS | st.lists(_SCALARS, max_size=4)
+# half the laws are valid, of all four kinds and skewed ones included;
+# gamma(1e-9,1e-9) has its own test
+_LAWS = st.booleans().flatmap(
+    lambda valid: st.sampled_from(
+        ["exp(1)", "exp(0.25)", "gamma(2,2)", "gamma(0.1,0.1)", "gamma(0.5,3)",
+         "uniform(0.5,1.5)", "uniform(0,2)", "det(1)", "det(0.3)"]
+    ) if valid else _VALUES
+)
 
 
 @st.composite
 def _config_cases(draw):
     command = draw(st.sampled_from(sorted(_CONFIG_FLAGS)))
     keys = _CONFIG_FLAGS[command] + (draw(st.sampled_from(["sead", "k", "t"])),)
-    config = draw(st.fixed_dictionaries({}, optional={key: _VALUES for key in keys}))
+    values = {key: _LAWS if key == "dist" else _VALUES for key in keys}
+    config = draw(st.fixed_dictionaries({}, optional=values))
     return command, config
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(_config_cases())
 @example(("renewal-table", {"h": 9007199254740996}))  # one cell, no pivot: once a nan table
+@example(("cmj", {"dist": "gamma(0.1,0.1)", "horizon": 12, "k-max": 3}))  # walks outrun slots
+@example(("cmj", {"dist": "uniform(0,2)", "horizon": 9.5, "k-max": 4}))
+@example(("cmj", {"dist": "det(0.3)", "horizon": 2, "k-max": 3}))  # ties across generations
+@example(("cmj", {"embedded": 500, "seed": 3}))
 def test_any_config_is_accepted_or_refused_cleanly(case):
     command, config = case
     # the caps are scaled down so that every accepted size finishes in
@@ -529,6 +571,8 @@ def test_any_config_is_accepted_or_refused_cleanly(case):
         mp.setattr(renewal, "MAX_TABLE_VALUES", 2**16)
         mp.setattr(gaussian_limit, "MAX_COV_DIM", 24)
         mp.setattr(gaussian_limit, "MAX_SAMPLE_CELLS", 2**14)
+        mp.setattr(cmj, "MAX_EVENTS", 2**12)
+        mp.setattr(cmj, "MAX_EMBEDDED_BIRTHS", 2**10)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         try:

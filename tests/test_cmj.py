@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from branchlab.cli import main
 from branchlab.cmj import (
     MAX_EMBEDDED_BIRTHS,
     CapExceededError,
+    _PASS,
     _embedded_parent_matrix,
-    _walk_stream,
+    _walk_sums,
     count_generation,
     decomposition_terms,
     expected_event_count,
@@ -29,6 +31,7 @@ from branchlab.recursive_tree import generate_rrt
 from branchlab.renewal import build_renewal_table
 from branchlab.rng import RngStream
 from branchlab.stat_tests import ks_two_sample
+from branchlab.verify import _TWO_SAMPLE_CRIT
 
 EXP1 = make_distribution("exp(1)")
 GAMMA22 = make_distribution("gamma(2,2)")
@@ -101,6 +104,18 @@ def test_event_stream_invariants():
         assert np.count_nonzero(gens == k) == count_generation(traj, k, 8.0)
 
 
+@pytest.mark.parametrize("law", [DET1, GAMMA22], ids=lambda d: d.descriptor)
+def test_merged_order_is_time_then_generation_then_creation(law):
+    # det(1) births tie across generations; the reference sorts on all three keys
+    traj = simulate_cmj(law, 9.5, 4, RngStream(3, 0))
+    t = np.concatenate(traj.times)
+    gens = np.repeat(np.arange(1, 5), [g.shape[0] for g in traj.times])
+    order = np.lexsort((np.arange(t.shape[0]), gens, t))
+    expected = (t[order], gens[order], np.concatenate(traj.anc1)[order])
+    for got, want in zip(traj.merged_order(), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_count_generation_range_errors():
     traj = simulate_cmj(EXP1, 5.0, 2, RngStream(0, 1))
     with pytest.raises(ValueError):
@@ -152,9 +167,10 @@ def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# Runs the refusal in a fresh interpreter so that its peak RSS is its own.
+# Runs the refusal in a fresh interpreter. VmHWM is the peak of this process
+# image alone; ru_maxrss would also keep the peak of the test process that
+# spawned it.
 _REFUSAL_PROBE = """
-import resource
 from branchlab.cmj import simulate_cmj
 from branchlab.distributions import make_distribution
 from branchlab.errors import CapExceededError
@@ -164,10 +180,12 @@ try:
     print("not refused")
 except CapExceededError:
     print("refused")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
 """
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_refusal_stays_within_bounded_memory():
     # the refusal peaked near 211 MB, about 80 MB of it the interpreter with
     # numpy; before the walks were cut from one bounded stream it took 521 MB
@@ -186,25 +204,18 @@ def test_refusal_stays_within_bounded_memory():
 
 @pytest.mark.parametrize("law", [EXP1, GAMMA22, DET1], ids=lambda d: d.descriptor)
 def test_walk_stream_cuts_cover_rows_and_pass_budgets(law):
-    # enough rows that the stream is drawn and cut in several chunks
+    # more kept sums than one pass draws, so the walks are cut over several passes
     budgets = np.linspace(60.0, 0.0, 120_001)
-    next_row = 0
-    counts = []
-    for lo, C, s, q in _walk_stream(law, RngStream(2, 0), budgets):
-        assert lo == next_row
-        b = budgets[lo : lo + s.shape[0]]
-        assert np.array_equal(s[1:], q[:-1])
-        assert np.all(q > s)
-        assert np.all(C[q] - C[s] > b)
-        kept = q - s - 1
-        assert np.all(C[s + kept] - C[s] <= b)
-        counts.append(kept)
-        next_row += s.shape[0]
-    assert next_row == budgets.shape[0]
-    assert len(counts) > 1
+    rows, sums = _walk_sums(law, RngStream(2, 0), budgets)
+    assert rows.shape == sums.shape
+    assert rows.shape[0] > _PASS
+    assert np.all(sums >= 0.0)
+    assert np.all(sums <= budgets[rows])
     if law is DET1:
-        assert np.array_equal(np.concatenate(counts), np.floor(budgets))
-    assert list(_walk_stream(law, RngStream(2, 0), [])) == []
+        counts = np.bincount(rows, minlength=budgets.shape[0])
+        assert np.array_equal(counts, np.floor(budgets))
+    rows, sums = _walk_sums(law, RngStream(2, 0), [])
+    assert rows.shape == sums.shape == (0,)
 
 
 def test_walk_stream_budget_rules():
@@ -214,10 +225,72 @@ def test_walk_stream_budget_rules():
         with pytest.raises(ValueError):
             renewal_count_samples(EXP1, t, 10, RngStream(0, 0))
     with pytest.raises(ValueError):
-        list(_walk_stream(EXP1, RngStream(0, 0), [1.0, -1.0]))
+        _walk_sums(EXP1, RngStream(0, 0), [1.0, -1.0])
     # mean step 1e-18: the walk would take about 1e19 steps, so it is refused before drawing
     with pytest.raises(CapExceededError):
         renewal_count_samples(make_distribution("gamma(1e-9,1e9)"), 10.0, 1, RngStream(0, 0))
+
+
+def _flat_stream_sums(dist, rng, budgets):
+    """The flat-stream cut, kept as the same-law reference for _walk_sums.
+
+    All walks are cut from one stream of increments with cumulative sum C:
+    walk i starts at index s, keeps the sums C[s + 1 : q] - C[s] within
+    budgets[i], and the first index q past it starts walk i + 1. Each q is
+    a stopping time of the i.i.d. stream, so the walks are independent
+    copies. Returns (rows, sums) in row order.
+    """
+    b = list(budgets)
+    rows, sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    C = np.zeros(1)
+    j = 0
+    while j < len(b):
+        C = np.concatenate((C, C[-1] + np.cumsum(dist.sample(rng, 1 << 16))))
+        search, item = C.searchsorted, C.item
+        cuts = [0]
+        i = j
+        while i < len(b):
+            q = search(item(cuts[-1]) + b[i], "right")
+            if q == C.shape[0]:
+                break
+            cuts.append(q)
+            i += 1
+        s, q = np.array(cuts[:-1]), np.array(cuts[1:])
+        n = q - s - 1
+        rows.append(np.repeat(np.arange(j, i), n))
+        first = np.repeat(s + 1 - (np.cumsum(n) - n), n)
+        sums.append(C[np.arange(n.sum()) + first] - np.repeat(C[s], n))
+        C = C[cuts[-1] :]
+        j = i
+    return np.concatenate(rows), np.concatenate(sums)
+
+
+def _same_law(a, b):
+    report = ks_two_sample(a, b)
+    return report.statistic < _TWO_SAMPLE_CRIT * math.sqrt(1.0 / a.size + 1.0 / b.size)
+
+
+def test_walk_sums_match_the_flat_stream_in_law():
+    # gamma(0.1,0.1) at t = 3: about 1.5% of the walks outrun their slot and
+    # go on in a second pass. At 60 000 a side the KS bound is 0.011, below
+    # that share, so walks redrawn instead of extended would fail it.
+    law, t, m = make_distribution("gamma(0.1,0.1)"), 3.0, 60_000
+    counts = renewal_count_samples(law, t, m, RngStream(61, 0))
+    rows, _ = _flat_stream_sums(law, RngStream(62, 0), np.full(m, t))
+    assert _same_law(counts, np.bincount(rows, minlength=m))
+    # generation counts of gamma(2,2) at horizon 14, generations 1..5, the
+    # reference drawing all runs of one generation as one flat stream
+    horizon, k_max, fractions, runs = 14.0, 5, (0.5, 1.0), 500
+    draw = partial(generation_counts, GAMMA22, horizon, k_max, fractions)
+    got = np.stack([draw(RngStream(63, r)) for r in range(runs)])
+    rng = RngStream(64, 0)
+    run, births = np.arange(runs), np.zeros(runs)
+    for k in range(k_max):
+        rows, sums = _flat_stream_sums(GAMMA22, rng, horizon - births)
+        run, births = run[rows], births[rows] + sums
+        for i, s in enumerate(fractions):
+            ref = np.bincount(run[births <= s * horizon], minlength=runs)
+            assert _same_law(got[:, k, i], ref), (k + 1, s)
 
 
 @pytest.mark.parametrize("law", [EXP1, GAMMA22, UNIFORM, DET1], ids=lambda d: d.descriptor)

@@ -187,8 +187,8 @@ with open("/proc/self/status") as f:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_refusal_stays_within_bounded_memory():
-    # the refusal peaked near 211 MB, about 80 MB of it the interpreter with
-    # numpy; before the walks were cut from one bounded stream it took 521 MB
+    # the refusal peaks near 207 MB, about 80 MB of it the interpreter with
+    # numpy; before the walks were drawn in bounded passes it took 521 MB
     out = subprocess.run(
         [sys.executable, "-c", _REFUSAL_PROBE],
         capture_output=True,
@@ -286,7 +286,7 @@ def test_walk_sums_match_the_flat_stream_in_law():
     rng = RngStream(64, 0)
     run, births = np.arange(runs), np.zeros(runs)
     for k in range(k_max):
-        rows, sums = _flat_stream_sums(GAMMA22, rng, horizon - births)
+        rows, sums = _flat_stream_sums(GAMMA22, rng, np.maximum(horizon - births, 0.0))
         run, births = run[rows], births[rows] + sums
         for i, s in enumerate(fractions):
             ref = np.bincount(run[births <= s * horizon], minlength=runs)

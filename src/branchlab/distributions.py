@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .rng import RngStream
 
@@ -48,6 +47,14 @@ class IncrementDistribution:
             return g.exponential(1.0 / self.params[0], size)
         if self.kind == "gamma":
             shape, rate = self.params
+            if size is not None and shape in (1.0, 2.0, 3.0):
+                # An integer shape k is a sum of k exponentials (Devroye 1986, Ch. IX),
+                # no dearer than Generator.gamma up to k = 3.
+                out = g.standard_exponential(size)
+                for _ in range(int(shape) - 1):
+                    out += g.standard_exponential(size)
+                out *= 1.0 / rate
+                return out
             return g.gamma(shape, 1.0 / rate, size)
         if self.kind == "uniform":
             a, b = self.params
@@ -64,6 +71,9 @@ class IncrementDistribution:
             rate = self.params[0]
             return np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
         if self.kind == "gamma":
+            # scipy loads on first use, never at start-up (about 0.5 s of it)
+            from scipy.special import gammainc
+
             shape, rate = self.params
             return np.where(x > 0, gammainc(shape, rate * np.maximum(x, 0.0)), 0.0)
         if self.kind == "uniform":
@@ -81,6 +91,8 @@ class IncrementDistribution:
             val = self.mu * -np.expm1(-rate * xp) - xp * np.exp(-rate * xp)
             return np.where(x > 0, val, 0.0)
         if self.kind == "gamma":
+            from scipy.special import gammainc
+
             shape, rate = self.params
             return np.where(x > 0, self.mu * gammainc(shape + 1.0, rate * np.maximum(x, 0.0)), 0.0)
         if self.kind == "uniform":

@@ -115,9 +115,14 @@ def write_samples_csv(path, sample: GaussianGridSample) -> None:
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """Key-sorted, whitespace-free JSON encoding used for hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Key-sorted, whitespace-free JSON encoding used for hashing.
+
+    Strict JSON: a NaN or an infinity raises ValueError.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def write_manifest_json(path, manifest: dict) -> None:
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """The manifest as indented, key-sorted strict JSON (no NaN or infinity)."""
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CapExceededError, FactorizationError
 from .rng import RngStream
@@ -81,6 +80,8 @@ def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
     top = min(s, u)
     if top == 0:
         return 0.0
+    from scipy.integrate import quad  # loads scipy.optimize: keep it off start-up
+
     val, _ = quad(
         lambda y: (s - y) ** (k - 1) * (u - y) ** (l - 1),
         0.0,

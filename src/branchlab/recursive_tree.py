@@ -157,19 +157,19 @@ def _level_masks(parents: np.ndarray, k_max: int):
     """Yield the level-k masks of vertices 1..V-1 for k = 1..k_max.
 
     parents holds the parents of vertices 1..V-1 along its last axis: one
-    tree, or one tree per row. The level-k mask is the level-(k-1) mask
-    gathered through the parent array; the walk stops at the first empty
-    level.
+    tree, or one tree per row. Level 1 is the children of the root; the
+    level-k mask is the level-(k-1) mask gathered through the parent array.
+    The walk stops at the first empty level.
     """
     mask = np.zeros(parents.shape[:-1] + (parents.shape[-1] + 1,), dtype=bool)
-    mask[..., 0] = True
-    for _ in range(k_max):
-        child = np.take_along_axis(mask, parents, axis=-1)
+    child = parents == 0
+    for k in range(k_max):
+        if k:
+            mask[..., 1:] = child
+            child = np.take_along_axis(mask, parents, axis=-1)
         if not child.any():
             return
         yield child
-        mask[..., 0] = False
-        mask[..., 1:] = child
 
 
 def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .cmj import generation_counts
 from .distributions import IncrementDistribution
@@ -46,6 +45,8 @@ def ks_one_sample(samples, cdf) -> KsReport:
     d_plus = float(np.max(grid - fx))
     d_minus = float(np.max(fx - (grid - 1.0 / n)))
     stat = max(d_plus, d_minus)
+    from scipy.special import kolmogorov  # on first use: scipy stays off start-up
+
     p = float(kolmogorov(math.sqrt(n) * stat))
     return KsReport(statistic=stat, p_value=p, n_eff=float(n))
 
@@ -62,6 +63,8 @@ def ks_two_sample(a, b) -> KsReport:
     cb = np.searchsorted(xb, pooled, side="right") / xb.size
     stat = float(np.max(np.abs(ca - cb)))
     n_eff = xa.size * xb.size / (xa.size + xb.size)
+    from scipy.special import kolmogorov
+
     p = float(kolmogorov(math.sqrt(n_eff) * stat))
     return KsReport(statistic=stat, p_value=p, n_eff=float(n_eff))
 
@@ -213,6 +216,8 @@ def functional_grid_test(
         raise ValueError(f"unknown mode: {mode!r}")
 
     raw = map_replicated(task, n_reps, seed, workers=workers)
+
+    from scipy.special import ndtr
 
     z = np.empty(raw.shape)
     marginals = {}

@@ -82,15 +82,26 @@ def _entry(
     )
     return {
         "name": name,
-        "statistic": stat if stat is None or math.isfinite(stat) else None,
-        "budget": None if budget is None else float(budget),
-        "p_value": None if p_value is None else float(p_value),
-        "n_eff": None if n_eff is None else float(n_eff),
+        "statistic": _json_number(stat),
+        "budget": _json_number(budget),
+        "p_value": _json_number(p_value),
+        "n_eff": _json_number(n_eff),
         "pass": bool(ok),
         "gating": bool(gating),
         "skipped": bool(skipped),
-        "details": details if details else {},
+        "details": {
+            key: _json_number(v) if isinstance(v, float) else v
+            for key, v in (details or {}).items()
+        },
     }
+
+
+def _json_number(x):
+    """x as a float, or None for None, NaN and infinities, which strict JSON lacks."""
+    if x is None:
+        return None
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,11 @@ def _test_profile_small_n_tv(cfg, seed):
     for n_plus_1 in _TV_SIZES:
         exact = exact_profile_distribution(n_plus_1)
         k_hi = n_plus_1 - 1
-        keys, tallies = np.unique(rows[:, lo : lo + k_hi], axis=0, return_counts=True)
+        # A level holds at most k_hi vertices, so base-n_plus_1 codes keep the
+        # rows' lexicographic order and tally as plain integers.
+        powers = n_plus_1 ** np.arange(k_hi - 1, -1, -1, dtype=np.int64)
+        codes, tallies = np.unique(rows[:, lo : lo + k_hi] @ powers, return_counts=True)
+        keys = codes[:, None] // powers % n_plus_1
         lo += k_hi
         emp = {tuple(int(v) for v in row): c / m for row, c in zip(keys, tallies)}
         support = set(exact) | set(emp)

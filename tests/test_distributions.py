@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from branchlab.distributions import lorden_constant, make_distribution
 from branchlab.rng import RngStream
+from branchlab.stat_tests import ks_two_sample
+from branchlab.verify import _TWO_SAMPLE_CRIT
 
 
 def test_exp_moments():
@@ -153,6 +155,28 @@ def test_sample_moments_and_positivity():
         se = math.sqrt(d.sigma2 / x.size)
         assert abs(float(x.mean()) - d.mu) < 5 * se
         assert float(x.var()) == pytest.approx(d.sigma2, rel=0.05)
+
+
+@pytest.mark.parametrize("text", ["gamma(1,1)", "gamma(2,2)", "gamma(3,0.5)"])
+def test_integer_shape_gamma_draws_match_generator_gamma_in_law(text):
+    # sums of exponentials against Generator.gamma, at the registry's alpha = 0.001
+    d = make_distribution(text)
+    shape, rate = d.params
+    a = d.sample(RngStream(21, 0), 200_000)
+    b = RngStream(21, 1).gen.gamma(shape, 1.0 / rate, 200_000)
+    report = ks_two_sample(a, b)
+    assert report.statistic < _TWO_SAMPLE_CRIT * math.sqrt(2.0 / 200_000)
+    # one draw at a time keeps Generator.gamma
+    assert d.sample(RngStream(21, 2)) == RngStream(21, 2).gen.gamma(shape, 1.0 / rate)
+
+
+@pytest.mark.parametrize("text", ["gamma(2.5,1)", "gamma(0.1,0.1)"])
+def test_other_gamma_shapes_draw_through_generator_gamma(text):
+    d = make_distribution(text)
+    shape, rate = d.params
+    want = RngStream(5, 0).gen.gamma(shape, 1.0 / rate, 1000)
+    assert d.sample(RngStream(5, 0), 1000).tobytes() == want.tobytes()
+    assert d.sample(RngStream(5, 0)) == RngStream(5, 0).gen.gamma(shape, 1.0 / rate)
 
 
 def test_det_sampling_is_constant_and_entropy_free():

@@ -30,6 +30,7 @@ from branchlab.gaussian_limit import build_cov_matrix, sample_limit
 from branchlab.recursive_tree import generate_rrt, grow_and_record
 from branchlab.renewal import build_renewal_table, table_from_csv
 from branchlab.rng import RngStream
+from branchlab.verify import _entry
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -208,6 +209,30 @@ def test_manifest_json_round_trip(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == manifest
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_manifest_entries_are_strict_json(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    entry = _entry(
+        "x.y", nan, 1.0, True, p_value=nan, n_eff=inf,
+        details={"nan": nan, "inf": inf, "neg_inf": -inf, "n": 3, "mean": 0.5, "law": "exp(1)"},
+    )
+    path = tmp_path / "manifest.json"
+    write_manifest_json(path, {"results": [entry]})
+    parsed = json.loads(path.read_text(), parse_constant=_refuse_constant)["results"][0]
+    assert parsed["details"] == {
+        "nan": None, "inf": None, "neg_inf": None, "n": 3, "mean": 0.5, "law": "exp(1)",
+    }
+    assert (parsed["statistic"], parsed["p_value"], parsed["n_eff"]) == (None, None, None)
+    assert parsed["pass"] is False
+    json.loads(canonical_json_bytes(entry), parse_constant=_refuse_constant)
+    for write in (canonical_json_bytes, lambda obj: write_manifest_json(tmp_path / "m2.json", obj)):
+        with pytest.raises(ValueError):
+            write({"x": nan})
 
 
 def test_atomic_write_accepts_str_paths(tmp_path):

@@ -1,5 +1,6 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -51,15 +52,33 @@ def test_counter_attributes_exist():
     assert table.dist.lattice_span == 0.0
 
 
-def test_cli_import_loads_no_scipy_signal():
-    # scipy.signal costs about a second of start-up; the renewal solver uses numpy's FFT
-    code = "import sys, branchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+_NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from branchlab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [scipy_modules()]
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen.append(cli.main(["gen-tree", "--n", "1000", "--output-dir", out]))
+    seen.append(cli.main(["profile-path", "--n-base", "1000", "--output-dir", out]))
+seen.append(scipy_modules())
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_and_tree_commands_load_no_scipy(tmp_path):
+    # scipy serves only the registry's closed-form checks and costs about 0.6 s
+    # of start-up, so its modules load inside the functions that call them
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout) == [[], 0, 0, []]
+    assert len(list(tmp_path.iterdir())) == 2

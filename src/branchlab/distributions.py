@@ -47,12 +47,11 @@ class IncrementDistribution:
             return g.exponential(1.0 / self.params[0], size)
         if self.kind == "gamma":
             shape, rate = self.params
-            if size is not None and shape in (1.0, 2.0, 3.0):
-                # An integer shape k is a sum of k exponentials (Devroye 1986, Ch. IX),
-                # no dearer than Generator.gamma up to k = 3.
+            if size is not None and shape == 2.0:
+                # gamma(2) is the sum of two exponentials (Devroye 1986, Ch. IX),
+                # cheaper than Generator.gamma; the registry's gamma(2,2) draws here.
                 out = g.standard_exponential(size)
-                for _ in range(int(shape) - 1):
-                    out += g.standard_exponential(size)
+                out += g.standard_exponential(size)
                 out *= 1.0 / rate
                 return out
             return g.gamma(shape, 1.0 / rate, size)

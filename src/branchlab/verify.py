@@ -505,6 +505,11 @@ def verify_suite(cfg: VerifyConfig) -> dict:
     one worker pool, shut down when the run ends.
     """
     started = time.monotonic()
+    # scipy (about 0.5 s) loads here, not in the first group that calls it, so
+    # no group's wall time holds the import and forked workers inherit it.
+    import scipy.integrate
+    import scipy.special
+
     results = []
     group_wall_s = {}
     with shared_pool(cfg.workers):

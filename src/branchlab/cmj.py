@@ -3,8 +3,8 @@
 Generation 1 is the walk's partial-sum sequence up to the horizon; each
 individual born at time s starts an independent copy of the walk, shifted
 by s, to produce the next generation. Trajectories record, per generation,
-the sorted birth times, the index of the first-generation ancestor, and the
-parent's position in the previous generation.
+the sorted birth times and the index of each birth's first-generation
+ancestor.
 
 Every walk draws its own slot of increments, about three standard
 deviations longer than its expected step count, and the walks of one
@@ -26,15 +26,13 @@ numpy, O(n^2) per tree, and serves the verify registry.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import IncrementDistribution
-from .errors import CapExceededError, TableCoverageError
+from .errors import CapExceededError
 from .recursive_tree import RecursiveTree
-from .renewal import RenewalTable
 from .rng import RngStream
 
 # A run holds about 33 bytes per event. simulate_cmj(exp(1), 16.46, 30) made 2.6e7
@@ -105,24 +103,6 @@ class EmbeddedTree:
 
     tree: RecursiveTree
     birth_times: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecompositionTerms:
-    """Fluctuation split of Y_k(t) around its polynomial center.
-
-    y1 + y2 + y3 equals count - t^k/(k! mu^k) exactly up to interpolation
-    rounding; y2_star is the alternative second term centered by the exact
-    mean U_k(t) instead of the polynomial, so y1 + y2_star = count - U_k(t).
-    """
-
-    k: int
-    t: float
-    count: int
-    y1: float
-    y2: float
-    y3: float
-    y2_star: float
 
 
 def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int) -> float:
@@ -285,8 +265,8 @@ def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
     """Number of generation-k births at or before time t."""
     if not 1 <= k <= traj.k_max:
         raise ValueError(f"generation must lie in 1..{traj.k_max}")
-    if t > traj.horizon + 1e-9 * max(1.0, traj.horizon):
-        raise ValueError("query beyond the simulated horizon")
+    if not -np.inf < t <= traj.horizon + 1e-9 * max(1.0, traj.horizon):
+        raise ValueError("query time must be finite and within the simulated horizon")
     if t < 0:
         return 0
     return int(np.searchsorted(traj.times[k - 1], t, side="right"))
@@ -363,40 +343,3 @@ def renewal_count_samples(
     rows, _ = _walk_sums(dist, rng, np.full(n_samples, float(t)))
     return np.bincount(rows, minlength=n_samples)
 
-
-def decomposition_terms(
-    traj: CmjTrajectory, table: RenewalTable, k: int, t: float
-) -> DecompositionTerms:
-    """Split Y_k(t) - t^k/(k! mu^k) into its three fluctuation terms.
-
-    y1 sums, over first-generation individuals born by t, the centered
-    descendant counts; y2 recenters the shot-noise sum of U_{k-1} by its
-    integral; y3 is the deterministic drift. U-values are interpolated from
-    the table, which must cover order k and horizon t and describe the same
-    law as the trajectory.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > traj.k_max:
-        raise ValueError(f"trajectory holds generations 1..{traj.k_max}")
-    if table.dist != traj.dist:
-        raise ValueError("table and trajectory use different increment laws")
-    if table.k_max < k:
-        raise TableCoverageError(f"table must hold orders up to {k}")
-    count = count_generation(traj, k, t)
-
-    mu = traj.dist.mu
-    s1 = traj.times[0]
-    s1 = s1[s1 <= t]
-    shot = float(np.sum(table.interp(k - 1, t - s1))) if s1.size else 0.0
-    drift = table.integral(k - 1, t) / mu
-    poly = t**k / (math.factorial(k) * mu**k)
-    return DecompositionTerms(
-        k=k,
-        t=t,
-        count=count,
-        y1=count - shot,
-        y2=shot - drift,
-        y3=drift - poly,
-        y2_star=shot - float(table.interp(k, t)),
-    )

@@ -97,8 +97,8 @@ def marginal_sd(k: int, s: float) -> float:
     """Standard deviation of R_k(s): sqrt(s^{2k-1} / (2k-1))."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    if s < 0:
-        raise ValueError("time must be >= 0")
+    if not 0 <= s < math.inf:
+        raise ValueError("time must be finite and >= 0")
     return math.sqrt(s ** (2 * k - 1) / (2 * k - 1))
 
 

@@ -50,17 +50,6 @@ class ProfileVector:
     counts: np.ndarray
     n: int  # number of non-root vertices
 
-    def __getitem__(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("level must be >= 0")
-        if k >= self.counts.shape[0]:
-            return 0
-        return int(self.counts[k])
-
-    @property
-    def height(self) -> int:
-        return int(self.counts.shape[0]) - 1
-
 
 @dataclass(frozen=True)
 class ProfilePath:
@@ -146,8 +135,16 @@ def profile(tree: RecursiveTree) -> ProfileVector:
 def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.ndarray:
     """Parent choices for n_batch independent trees of common size.
 
-    Row r, column i holds the parent of vertex i+1 in tree r.
+    Row r, column i holds the parent of vertex i+1 in tree r. Raises
+    CapExceededError, before any draw, when the matrix, or one row of it,
+    would hold more than MAX_TREE_VERTICES parents.
     """
+    if n_batch < 0:
+        raise ValueError("n_batch must be >= 0")
+    if max(n_batch, 1) * (n_plus_1 - 1) > MAX_TREE_VERTICES:
+        raise CapExceededError(
+            f"{n_batch} trees of {n_plus_1} vertices exceed the cap {MAX_TREE_VERTICES}"
+        )
     if n_plus_1 < 2:
         return np.empty((n_batch, 0), dtype=np.int64)
     return rng.gen.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))

@@ -300,8 +300,10 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
         raise ValueError("counts must be nonempty")
     if dist.sigma2 <= 0:
         raise ValueError("degenerate increments have no Gaussian limit")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     u_t = t / dist.mu + (dist.sigma2 - dist.mu**2) / (2.0 * dist.mu**2)
     num = float(np.mean(np.abs(np.asarray(counts) - u_t) ** p))
     den = abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0)

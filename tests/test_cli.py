@@ -638,3 +638,31 @@ def test_manifest_times_every_group(quick_manifests):
     assert sorted(timings) == sorted(group for group, _ in _REGISTRY)
     assert all(seconds >= 0 for seconds in timings.values())
     assert sum(timings.values()) <= manifest["provenance"]["wall_time_s"] + 1e-6
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_verify_under_a_scaled_down_event_cap_skips_the_walk_groups(tmp_path, capsys, monkeypatch):
+    # the pool is forked inside the run, so its workers inherit the patch; the
+    # cmj groups refuse before any walk, the others once a pass passes the cap
+    monkeypatch.setattr(cmj, "MAX_EVENTS", 2**12)
+    argv = ["verify", "--quick", "--seed", "42", "--workers", "2", "--output-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    text = (tmp_path / "manifest_seed42_quick.json").read_text()
+    manifest = json.loads(text, parse_constant=_refuse_constant)
+    capped = ["cmj_clt_exp", "cmj_clt_gamma", "functional_grid_exp",
+              "second_moment_identity", "moment_ratio_exp", "moment_ratio_gamma"]
+    results = manifest["results"]
+    for group in capped:
+        (entry,) = [r for r in results if r["name"].startswith(f"{group}.")]
+        assert entry["name"] == f"{group}.skipped"
+        assert entry["gating"] and entry["skipped"] and not entry["pass"]
+        assert entry["details"]["error"].startswith("CapExceededError: ")
+        assert f"SKIP {group}.skipped\n" in out
+    others = [r for r in results if r["name"].split(".")[0] not in capped]
+    assert others and all(r["pass"] or not r["gating"] for r in others)
+    assert not any(r["skipped"] for r in others)
+    assert manifest["summary"]["n_failed_gating"] == len(capped)

@@ -18,7 +18,6 @@ from branchlab.cmj import (
     _embedded_parent_matrix,
     _walk_sums,
     count_generation,
-    decomposition_terms,
     expected_event_count,
     generation_counts,
     renewal_count_samples,
@@ -26,7 +25,6 @@ from branchlab.cmj import (
     simulate_embedded_rrt,
 )
 from branchlab.distributions import make_distribution
-from branchlab.errors import TableCoverageError
 from branchlab.recursive_tree import generate_rrt
 from branchlab.renewal import build_renewal_table
 from branchlab.rng import RngStream
@@ -414,17 +412,19 @@ def test_embedded_profile_matches_uniform_attachment():
     assert report.statistic < 1.9495 * math.sqrt(2.0 / m)
 
 
-def test_decomposition_identities(exp_table_200, exp_trajs_200):
-    table = exp_table_200
-    for traj in exp_trajs_200[:20]:
-        for t in (50.0, 125.0, 200.0):
-            d = decomposition_terms(traj, table, 2, t)
-            lhs = d.y1 + d.y2 + d.y3
-            assert lhs == pytest.approx(d.count - t**2 / 2.0, abs=1e-6 * max(1.0, t**2))
-            lhs_star = d.y1 + d.y2_star
-            assert lhs_star == pytest.approx(
-                d.count - float(table.interp(2, t)), abs=1e-6 * max(1.0, t**2)
-            )
+def _decomposition_remainders(traj, table, k, t):
+    """y1 and y3 of the paper's split of Y_k(t) - t^k/(k! mu^k).
+
+    y1 sums, over first-generation births by t, the descendant counts
+    centred by U_{k-1}; y3 is the drift mu^{-1} int_0^t U_{k-1} less the
+    polynomial centre.
+    """
+    s1 = traj.times[0][traj.times[0] <= t]
+    shot = float(np.sum(table.interp(k - 1, t - s1)))
+    mu = traj.dist.mu
+    y1 = count_generation(traj, k, t) - shot
+    y3 = table.integral(k - 1, t) / mu - t**k / (math.factorial(k) * mu**k)
+    return y1, y3
 
 
 def test_decomposition_remainders_fade(exp_table_200, exp_trajs_200):
@@ -432,9 +432,9 @@ def test_decomposition_remainders_fade(exp_table_200, exp_trajs_200):
     scaled_y1 = []
     scaled_y3 = []
     for t in (50.0, 100.0, 200.0):
-        vals = [decomposition_terms(tr, exp_table_200, 2, t) for tr in exp_trajs_200]
-        scaled_y1.append(float(np.mean([abs(d.y1) for d in vals])) / t**1.5)
-        scaled_y3.append(abs(vals[0].y3) / t**1.5)
+        vals = [_decomposition_remainders(tr, exp_table_200, 2, t) for tr in exp_trajs_200]
+        scaled_y1.append(float(np.mean([abs(y1) for y1, _ in vals])) / t**1.5)
+        scaled_y3.append(abs(vals[0][1]) / t**1.5)
     assert scaled_y1[0] > scaled_y1[1] - 1e-6 > scaled_y1[2] - 2e-6
     assert scaled_y3[0] >= scaled_y3[1] - 1e-6 >= scaled_y3[2] - 2e-6
 
@@ -445,26 +445,3 @@ def test_variance_growth_scale(exp_trajs_200):
         v100 = float(np.var([count_generation(tr, k, 100.0) for tr in exp_trajs_200], ddof=1))
         ratio = (v100 / 100.0**power) / (v50 / 50.0**power)
         assert 1.0 / 3.0 < ratio < 3.0
-
-
-def test_decomposition_validation(exp_table_200, exp_trajs_200):
-    traj = exp_trajs_200[0]
-    with pytest.raises(ValueError):
-        decomposition_terms(traj, exp_table_200, 1, 10.0)
-    with pytest.raises(ValueError):
-        decomposition_terms(traj, exp_table_200, 3, 10.0)
-    with pytest.raises(ValueError):
-        decomposition_terms(traj, exp_table_200, 2, 201.0)
-    gamma_table = build_renewal_table(GAMMA22, 10.0, h=0.1, k_max=2)
-    with pytest.raises(ValueError):
-        decomposition_terms(traj, gamma_table, 2, 5.0)
-    low_order = build_renewal_table(EXP1, 200.0, h=1.0, k_max=1)
-    with pytest.raises(TableCoverageError):
-        decomposition_terms(traj, low_order, 2, 10.0)
-
-
-def test_decomposition_refuses_a_table_of_a_nearby_law(exp_trajs_200):
-    # exp(1.0000001) and exp(1) printed alike at six digits
-    near = build_renewal_table(make_distribution("exp(1.0000001)"), 20.0, h=0.1, k_max=2)
-    with pytest.raises(ValueError, match="different increment laws"):
-        decomposition_terms(exp_trajs_200[0], near, 2, 5.0)

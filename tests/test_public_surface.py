@@ -1,17 +1,23 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads."""
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import branchlab
 import branchlab.cli  # noqa: F401  (loads every branchlab module, as the bench does)
-from branchlab.cmj import simulate_cmj
+from branchlab.cmj import count_generation, simulate_cmj
 from branchlab.distributions import IncrementDistribution, make_distribution
-from branchlab.renewal import renewal_function_grid
+from branchlab.gaussian_limit import marginal_sd
+from branchlab.renewal import moment_ratio, renewal_function_grid
 from branchlab.rng import RngStream
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -40,6 +46,32 @@ def test_traced_functions_exist():
     assert missing == []
     for method in _tracer_constant("METHODS"):
         assert method in IncrementDistribution.__dict__
+
+
+_EXP1 = make_distribution("exp(1)")
+_TRAJ = simulate_cmj(_EXP1, 3.0, 2, RngStream(0, 1))
+_COUNTS = [3.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(count_generation, (_TRAJ, 1, math.nan), id="count_generation-t=nan"),
+        pytest.param(count_generation, (_TRAJ, 1, math.inf), id="count_generation-t=inf"),
+        pytest.param(count_generation, (_TRAJ, 1, -math.inf), id="count_generation-t=-inf"),
+        pytest.param(marginal_sd, (1, math.nan), id="marginal_sd-s=nan"),
+        pytest.param(marginal_sd, (1, math.inf), id="marginal_sd-s=inf"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, 0.0, 2.0), id="moment_ratio-t=0"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, -1.0, 2.0), id="moment_ratio-t=-1"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, math.nan, 2.0), id="moment_ratio-t=nan"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, math.inf, 2.0), id="moment_ratio-t=inf"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, 3.0, math.nan), id="moment_ratio-p=nan"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, 3.0, math.inf), id="moment_ratio-p=inf"),
+    ],
+)
+def test_out_of_range_times_and_powers_are_refused(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_counter_attributes_exist():
@@ -72,13 +104,36 @@ print(json.dumps(seen))
 def test_start_up_and_tree_commands_load_no_scipy(tmp_path):
     # scipy serves only the registry's closed-form checks and costs about 0.6 s
     # of start-up, so its modules load inside the functions that call them
-    src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert json.loads(out.stdout) == [[], 0, 0, []]
     assert len(list(tmp_path.iterdir())) == 2
+
+
+_CMJ_IMPORT_PROBE = """
+import sys, types
+# the package's __init__ imports every module, so map the package path
+# without running it and import cmj alone
+package = types.ModuleType("branchlab")
+package.__path__ = [sys.argv[1] + "/branchlab"]
+sys.modules["branchlab"] = package
+import branchlab.cmj
+print(sorted(m for m in sys.modules if m.startswith("branchlab.")))
+"""
+
+
+def test_cmj_does_not_import_renewal():
+    out = subprocess.run(
+        [sys.executable, "-c", _CMJ_IMPORT_PROBE, SRC],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = ast.literal_eval(out.stdout)
+    assert "branchlab.cmj" in loaded
+    assert "branchlab.renewal" not in loaded

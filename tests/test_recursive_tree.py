@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from branchlab import recursive_tree
 from branchlab.recursive_tree import (
     _DEPTH_CHUNK,
     _DRAW_BLOCK,
     MAX_TREE_VERTICES,
-    ProfileVector,
     depths_from_parents,
     exact_profile_distribution,
     generate_parent_matrix,
@@ -29,7 +29,6 @@ def test_single_vertex_tree():
     assert tree.parent.tolist() == [-1]
     p = profile(tree)
     assert p.counts.tolist() == [1]
-    assert p.height == 0
 
 
 def test_two_vertex_tree_is_forced():
@@ -53,8 +52,9 @@ def test_profile_counts_sum_to_size():
         p = profile(tree)
         assert int(p.counts.sum()) == 300
         assert p.counts[0] == 1
-        assert p[0] == 1
-        assert p[p.height + 5] == 0
+        assert p.n == 299
+        # a vertex at depth d has ancestors at every depth below d
+        assert np.all(p.counts >= 1)
 
 
 def test_depths_match_naive_walk():
@@ -159,6 +159,20 @@ def test_level_counts_batch_matches_per_tree_profiles():
             assert batch[r, k - 1] == np.count_nonzero(d == k)
 
 
+def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(recursive_tree, "MAX_TREE_VERTICES", 100)
+    rng = RngStream(5, 1)
+    assert generate_parent_matrix(10, 11, rng).shape == (10, 10)  # at the cap
+    for n_batch, n_plus_1 in ((11, 11), (10, 12), (0, 102), (10**7, 10**7)):
+        with pytest.raises(CapExceededError):
+            generate_parent_matrix(n_batch, n_plus_1, rng)
+    with pytest.raises(ValueError, match="n_batch"):
+        generate_parent_matrix(-1, 11, rng)
+    ref = RngStream(5, 1)
+    ref.gen.integers(0, np.arange(1, 11), size=(10, 10))
+    assert rng.gen.random() == ref.gen.random()  # the refusals drew nothing
+
+
 def test_tree_batch_task_level1_counts_root_children():
     got = _tree_batch_task(RngStream(11, 3), n_plus_1=400, k_hi=1, n_trees=20)
     parents = generate_parent_matrix(20, 400, RngStream(11, 3))
@@ -259,10 +273,3 @@ def test_grow_final_slice_agrees_with_direct_generation():
         direct_vals[r] = np.count_nonzero(tree.parent == 0)
     rep = ks_two_sample(grow_vals, direct_vals)
     assert rep.p_value > 1e-3
-
-
-def test_profile_vector_height():
-    p = ProfileVector(counts=np.array([1, 3, 2]), n=5)
-    assert p.height == 2
-    assert p[1] == 3
-    assert p[9] == 0

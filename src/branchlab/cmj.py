@@ -342,4 +342,3 @@ def renewal_count_samples(
         raise ValueError("t must be >= 0")
     rows, _ = _walk_sums(dist, rng, np.full(n_samples, float(t)))
     return np.bincount(rows, minlength=n_samples)
-

@@ -640,19 +640,16 @@ def test_manifest_times_every_group(quick_manifests):
     assert sum(timings.values()) <= manifest["provenance"]["wall_time_s"] + 1e-6
 
 
-def _refuse_constant(name):
-    raise AssertionError(f"non-standard JSON constant {name}")
-
-
 def test_verify_under_a_scaled_down_event_cap_skips_the_walk_groups(tmp_path, capsys, monkeypatch):
-    # the pool is forked inside the run, so its workers inherit the patch; the
-    # cmj groups refuse before any walk, the others once a pass passes the cap
+    # The pool forks inside the run, so its workers inherit the patch. The
+    # three CLT groups refuse on their expected event count before any walk,
+    # the three renewal-count groups once a pass keeps more sums than the cap.
     monkeypatch.setattr(cmj, "MAX_EVENTS", 2**12)
     argv = ["verify", "--quick", "--seed", "42", "--workers", "2", "--output-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    text = (tmp_path / "manifest_seed42_quick.json").read_text()
-    manifest = json.loads(text, parse_constant=_refuse_constant)
+    manifest = json.loads((tmp_path / "manifest_seed42_quick.json").read_text())
+    json.dumps(manifest, allow_nan=False)  # strict JSON: no NaN or Infinity was read
     capped = ["cmj_clt_exp", "cmj_clt_gamma", "functional_grid_exp",
               "second_moment_identity", "moment_ratio_exp", "moment_ratio_gamma"]
     results = manifest["results"]

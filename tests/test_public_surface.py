@@ -1,4 +1,8 @@
-"""Every public name resolves, and so does everything the bench tracer wraps or reads."""
+"""Every public name resolves, and so does everything the bench tracer wraps or reads.
+
+Also: public entry points refuse out-of-range times, and start-up and the
+cmj module load only the modules they need.
+"""
 import ast
 import json
 import math
@@ -17,9 +21,9 @@ from branchlab.gaussian_limit import marginal_sd
 from branchlab.renewal import moment_ratio, renewal_function_grid
 from branchlab.rng import RngStream
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+TRACER = ROOT / "benchmarks" / "tracer.py"
 
 
 def _tracer_constant(name):

@@ -337,8 +337,13 @@ def _embedded_parent_matrix(n_trees: int, n: int, rng: RngStream) -> np.ndarray:
 def renewal_count_samples(
     dist: IncrementDistribution, t: float, n_samples: int, rng: RngStream
 ) -> np.ndarray:
-    """n_samples independent copies of the first-generation count at time t."""
+    """n_samples independent copies of the first-generation count at time t.
+
+    Raises CapExceededError, before allocating, above MAX_EVENTS samples.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
+    if n_samples > MAX_EVENTS:
+        raise CapExceededError(f"{n_samples} samples exceed the cap {MAX_EVENTS}")
     rows, _ = _walk_sums(dist, rng, np.full(n_samples, float(t)))
     return np.bincount(rows, minlength=n_samples)

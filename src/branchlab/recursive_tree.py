@@ -263,9 +263,13 @@ def level1_moments(n: int) -> tuple[float, float]:
 
     Attachment m hits the root independently with probability 1/m, so the
     mean is the harmonic number H_n and the variance is sum (1/m)(1 - 1/m).
+    Raises CapExceededError, before summing, when the tree of n + 1 vertices
+    exceeds MAX_TREE_VERTICES, as generate_rrt does.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n + 1 > MAX_TREE_VERTICES:
+        raise CapExceededError(f"tree of {n + 1} vertices exceeds the memory cap")
     mean = math.fsum(1.0 / m for m in range(1, n + 1))
     var = math.fsum(1.0 / m - 1.0 / m**2 for m in range(1, n + 1))
     return mean, var

@@ -2,22 +2,18 @@
 
 normalize_cmj maps raw generation or level counts onto the scale where
 the limit laws live, the KS routines quantify agreement with those laws,
-and functional_grid_test runs the whole pipeline over a grid of scaled
-times against the integrated-noise covariance targets.
+and functional_grid_test scores counts drawn over a grid of scaled times
+against the integrated-noise covariance targets. Nothing here simulates:
+callers draw the counts and pass them in.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .cmj import generation_counts
-from .distributions import IncrementDistribution
 from .gaussian_limit import CovMatrix, build_cov_matrix, marginal_sd
-from .recursive_tree import grow_and_record
-from .runner import map_replicated
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,10 @@ def normalize_cmj(
     """
     if k < 1:
         raise ValueError("generation k must be >= 1")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    if sigma2 <= 0.0:
-        raise ValueError("normalization needs sigma2 > 0")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("normalization needs 0 < sigma2 < inf")
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     if not 0.0 <= s < math.inf:
@@ -134,14 +130,9 @@ def max_dev_se(emp, target, se) -> float:
     return float(np.max(ratio))
 
 
-def _tree_grid_task(rng, n_base, s_grid, k_max):
-    path = grow_and_record(n_base, np.asarray(s_grid), k_max, rng)
-    return path.values.T.astype(float)
-
-
 @dataclass(frozen=True, eq=False)
 class GridTestReport:
-    """Joint check of a simulated path against the Gaussian limit."""
+    """Joint check of counts on a time grid against the Gaussian limit."""
 
     t_grid: tuple
     marginals: dict
@@ -152,31 +143,21 @@ class GridTestReport:
 
 
 def functional_grid_test(
-    mode: str,
-    t_grid,
-    k_max: int,
-    n_reps: int,
-    seed: int,
-    workers: int = 1,
-    dist: IncrementDistribution | None = None,
-    horizon: float | None = None,
-    n_base: int | None = None,
+    raw, t_grid, t: float, mu: float = 1.0, sigma2: float = 1.0
 ) -> GridTestReport:
-    """Simulate n_reps paths and compare against the limit process.
+    """Compare counts drawn over a grid of scaled times against the limit process.
 
-    t_grid holds fractions of the full horizon in (0, 1]. For mode "cmj"
-    each replicate is a branching trajectory run to `horizon` under
-    `dist`; for mode "tree" each replicate is one tree grown to n_base^s
-    vertices at every grid fraction s. A tree of n_base = n + 1 vertices
-    is the exp(1) process at time ln n, so both modes go through
-    normalize_cmj: each (k, s) column is centered at fraction s and
-    scaled at the full horizon. Across the grid the columns should then
-    match the integrated-noise process: every marginal is KS-tested
-    against its exact normal law and the joint empirical covariance is
-    compared entrywise with the closed-form target, in units of its
-    standard error.
-
-    Deterministic given (seed, n_reps) for any worker count.
+    raw is an (n_reps, k_max, len(t_grid)) array: raw[r, k-1, i] is the
+    generation-k (or level-k) count of replicate r at fraction t_grid[i]
+    of the horizon t, for a process whose increments have mean mu and
+    variance sigma2. t_grid holds fractions in (0, 1]. A tree of n + 1
+    vertices is the exp(1) process at time ln n, so tree level counts pass
+    t = ln n with the default moments. Each (k, s) column goes through
+    normalize_cmj, centered at fraction s and scaled at the full horizon.
+    Across the grid the columns should then match the integrated-noise
+    process: every marginal is KS-tested against its exact normal law and
+    the joint empirical covariance is compared entrywise with the
+    closed-form target, in units of its standard error.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -185,37 +166,15 @@ def functional_grid_test(
         raise ValueError("grid fractions must lie in (0, 1]")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid fractions must be strictly increasing")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 3 or raw.shape[1] < 1 or raw.shape[2] != grid.size:
+        raise ValueError("raw must be (n_reps, k_max, len(t_grid)) with k_max >= 1")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw counts must be finite")
+    n_reps, k_max = raw.shape[:2]
     if n_reps < 8:
         raise ValueError("n_reps must be >= 8")
-
     s_grid = tuple(float(s) for s in grid)
-    if mode == "cmj":
-        if dist is None or horizon is None:
-            raise ValueError("cmj mode needs dist and horizon")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if dist.sigma2 <= 0.0:
-            raise ValueError("cmj mode needs an increment law with sigma2 > 0")
-        task = partial(generation_counts, dist, float(horizon), int(k_max), s_grid)
-        t, mu, sigma2 = float(horizon), dist.mu, dist.sigma2
-    elif mode == "tree":
-        if n_base is None:
-            raise ValueError("tree mode needs n_base")
-        if n_base < 3:
-            raise ValueError("n_base must be >= 3 so that ln(n_base - 1) > 0")
-        task = partial(
-            _tree_grid_task,
-            n_base=int(n_base),
-            s_grid=s_grid,
-            k_max=int(k_max),
-        )
-        t, mu, sigma2 = math.log(n_base - 1), 1.0, 1.0
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
-
-    raw = map_replicated(task, n_reps, seed, workers=workers)
 
     from scipy.special import ndtr
 

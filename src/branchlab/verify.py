@@ -37,6 +37,7 @@ from .recursive_tree import (
     exact_profile_distribution,
     generate_parent_matrix,
     generate_rrt,
+    grow_and_record,
     level1_moments,
     level_counts_batch,
 )
@@ -132,6 +133,11 @@ def _small_trees_task(rng, n_trees):
     return np.hstack(levels).astype(np.int8)
 
 
+def _tree_grid_task(rng, n_base, s_grid, k_max):
+    """Levels 1..k_max of one tree at sizes floor(n_base**s), one column per s in s_grid."""
+    return grow_and_record(n_base, s_grid, k_max, rng).values.T
+
+
 def _probe_task(rng, dist, horizon, n):
     counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
     levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
@@ -198,10 +204,14 @@ def _test_embedding_ks(cfg, seed):
     return out
 
 
-def _unit_fraction_entries(cfg, seed, label, budget, gating, details, mode, **kwargs):
-    """KS entries for the levels 1 and 2 marginals at the full horizon or size."""
+def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, mu=1.0, sigma2=1.0):
+    """KS entries for the levels 1 and 2 marginals at the full horizon or size.
+
+    task draws one replicate's (2, 1) counts: levels 1 and 2 at fraction 1.
+    """
     m = 400 if cfg.quick else 2000
-    report = functional_grid_test(mode, (1.0,), 2, m, seed, workers=cfg.workers, **kwargs)
+    raw = map_replicated(task, m, seed, workers=cfg.workers)
+    report = functional_grid_test(raw, (1.0,), t, mu, sigma2)
     return [
         _entry(
             f"{label}.k{k}",
@@ -216,36 +226,24 @@ def _unit_fraction_entries(cfg, seed, label, budget, gating, details, mode, **kw
     ]
 
 
-def _cmj_clt_entries(cfg, seed, label, dist):
+def _test_cmj_clt(cfg, seed, label, descriptor):
+    dist = make_distribution(descriptor)
     horizon = 200.0
     budget = 0.12 if cfg.quick else 0.08
     details = {"horizon": horizon, "law": dist.descriptor}
+    task = partial(generation_counts, dist, horizon, 2, (1.0,))
     return _unit_fraction_entries(
-        cfg, seed, label, budget, True, details, "cmj", dist=dist, horizon=horizon
+        cfg, seed, label, budget, True, details, task, horizon, dist.mu, dist.sigma2
     )
-
-
-def _test_cmj_clt_exp(cfg, seed):
-    return _cmj_clt_entries(cfg, seed, "cmj_clt_exp", make_distribution("exp(1)"))
-
-
-def _test_cmj_clt_gamma(cfg, seed):
-    return _cmj_clt_entries(cfg, seed, "cmj_clt_gamma", make_distribution("gamma(2,2)"))
 
 
 def _test_functional_grid_exp(cfg, seed):
     m = 400 if cfg.quick else 2000
     marg_budget = 0.12 if cfg.quick else 0.08
-    report = functional_grid_test(
-        "cmj",
-        (0.5, 1.0),
-        k_max=2,
-        n_reps=m,
-        seed=seed,
-        workers=cfg.workers,
-        dist=make_distribution("exp(1)"),
-        horizon=200.0,
-    )
+    dist, horizon, grid = make_distribution("exp(1)"), 200.0, (0.5, 1.0)
+    task = partial(generation_counts, dist, horizon, 2, grid)
+    raw = map_replicated(task, m, seed, workers=cfg.workers)
+    report = functional_grid_test(raw, grid, horizon, dist.mu, dist.sigma2)
     details = {
         "n_reps": m,
         "grid": list(report.t_grid),
@@ -470,16 +468,17 @@ def _test_worker_determinism(cfg, seed):
 def _test_tree_profile_direct(cfg, seed):
     n_plus_1 = 100_001
     details = {"n": n_plus_1 - 1, "informational": True}
-    return _unit_fraction_entries(
-        cfg, seed, "tree_profile_direct", 0.15, False, details, "tree", n_base=n_plus_1
-    )
+    task = partial(_tree_grid_task, n_base=n_plus_1, s_grid=(1.0,), k_max=2)
+    # a tree of n + 1 vertices is the exp(1) process at time ln n
+    t = math.log(n_plus_1 - 1)
+    return _unit_fraction_entries(cfg, seed, "tree_profile_direct", 0.15, False, details, task, t)
 
 
 _REGISTRY = (
     ("cov_closed_form", _test_cov_closed_form),
     ("embedding_ks", _test_embedding_ks),
-    ("cmj_clt_exp", _test_cmj_clt_exp),
-    ("cmj_clt_gamma", _test_cmj_clt_gamma),
+    ("cmj_clt_exp", partial(_test_cmj_clt, label="cmj_clt_exp", descriptor="exp(1)")),
+    ("cmj_clt_gamma", partial(_test_cmj_clt, label="cmj_clt_gamma", descriptor="gamma(2,2)")),
     ("functional_grid_exp", _test_functional_grid_exp),
     ("profile_small_n_tv", _test_profile_small_n_tv),
     ("level1_moments", _test_level1_moments),

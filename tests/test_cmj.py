@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from branchlab import cmj
 from branchlab.cli import main
 from branchlab.cmj import (
     MAX_EMBEDDED_BIRTHS,
@@ -227,6 +228,18 @@ def test_walk_stream_budget_rules():
     # mean step 1e-18: the walk would take about 1e19 steps, so it is refused before drawing
     with pytest.raises(CapExceededError):
         renewal_count_samples(make_distribution("gamma(1e-9,1e9)"), 10.0, 1, RngStream(0, 0))
+
+
+def test_renewal_count_samples_past_the_event_cap_are_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(cmj, "MAX_EVENTS", 64)
+    rng = RngStream(4, 2)
+    assert renewal_count_samples(EXP1, 0.5, 64, rng).shape == (64,)  # at the cap
+    for n_samples in (65, 10**12):
+        with pytest.raises(CapExceededError):
+            renewal_count_samples(EXP1, 0.5, n_samples, rng)
+    ref = RngStream(4, 2)
+    renewal_count_samples(EXP1, 0.5, 64, ref)
+    assert rng.gen.random() == ref.gen.random()  # the refusals drew nothing
 
 
 def _flat_stream_sums(dist, rng, budgets):

@@ -1,7 +1,7 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads.
 
 Also: public entry points refuse out-of-range times, and start-up and the
-cmj module load only the modules they need.
+cmj and stat_tests modules load only the modules they need.
 """
 import ast
 import json
@@ -119,25 +119,36 @@ def test_start_up_and_tree_commands_load_no_scipy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 2
 
 
-_CMJ_IMPORT_PROBE = """
-import sys, types
+_IMPORT_PROBE = """
+import importlib, sys, types
 # the package's __init__ imports every module, so map the package path
-# without running it and import cmj alone
+# without running it and import the one module alone
 package = types.ModuleType("branchlab")
 package.__path__ = [sys.argv[1] + "/branchlab"]
 sys.modules["branchlab"] = package
-import branchlab.cmj
+importlib.import_module(sys.argv[2])
 print(sorted(m for m in sys.modules if m.startswith("branchlab.")))
 """
 
 
-def test_cmj_does_not_import_renewal():
+def _modules_loaded_by(module):
     out = subprocess.run(
-        [sys.executable, "-c", _CMJ_IMPORT_PROBE, SRC],
+        [sys.executable, "-c", _IMPORT_PROBE, SRC, module],
         capture_output=True,
         text=True,
         check=True,
     )
     loaded = ast.literal_eval(out.stdout)
-    assert "branchlab.cmj" in loaded
-    assert "branchlab.renewal" not in loaded
+    assert module in loaded
+    return loaded
+
+
+def test_cmj_does_not_import_renewal():
+    assert "branchlab.renewal" not in _modules_loaded_by("branchlab.cmj")
+
+
+def test_stat_tests_imports_no_simulator():
+    # the grid test scores counts its callers draw
+    loaded = _modules_loaded_by("branchlab.stat_tests")
+    for simulator in ("branchlab.cmj", "branchlab.recursive_tree", "branchlab.runner"):
+        assert simulator not in loaded

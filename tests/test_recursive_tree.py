@@ -207,6 +207,15 @@ def test_level1_moments_small_values():
     assert mean4 == pytest.approx(25.0 / 12.0)
 
 
+def test_level1_moments_past_the_vertex_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(recursive_tree, "MAX_TREE_VERTICES", 100)
+    mean, _ = level1_moments(99)  # a tree of 100 vertices, at the cap
+    assert mean == pytest.approx(math.fsum(1.0 / m for m in range(1, 100)))
+    for n in (100, 10**12):
+        with pytest.raises(CapExceededError):
+            level1_moments(n)
+
+
 def test_empirical_profile_close_to_enumeration():
     m = 20_000
     rng = RngStream(17, 0)

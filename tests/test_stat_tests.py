@@ -1,15 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from branchlab import stat_tests
-from branchlab.cmj import count_generation, simulate_cmj
+from branchlab.cmj import count_generation, generation_counts, simulate_cmj
 from branchlab.distributions import make_distribution
 from branchlab.gaussian_limit import marginal_sd
 from branchlab.recursive_tree import grow_and_record
 from branchlab.rng import RngStream
+from branchlab.runner import map_replicated
 from branchlab.stat_tests import (
     empirical_cov,
     functional_grid_test,
@@ -18,6 +19,7 @@ from branchlab.stat_tests import (
     max_dev_se,
     normalize_cmj,
 )
+from branchlab.verify import _tree_grid_task
 
 EXP1 = make_distribution("exp(1)")
 
@@ -105,6 +107,11 @@ def test_normalization_validation():
         normalize_cmj([1.0], 5.0, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         normalize_cmj([1.0], 5.0, 1, 1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu"):
+            normalize_cmj([1.0], 5.0, 1, bad, 1.0)
+        with pytest.raises(ValueError, match="sigma2"):
+            normalize_cmj([1.0], 5.0, 1, 1.0, bad)
     with pytest.raises(ValueError):
         normalize_cmj([1.0], -1.0, 1, 1.0, 1.0)
     for bad_t in (0.0, math.inf, math.nan):
@@ -129,16 +136,19 @@ def test_empirical_cov_basics():
         empirical_cov(paired, index=[(1, 0.5)])
 
 
+def _cmj_grid_counts(horizon, k_max, grid, n_reps, seed, workers=1):
+    task = partial(generation_counts, EXP1, horizon, k_max, grid)
+    return map_replicated(task, n_reps, seed, workers=workers)
+
+
+def _tree_grid_counts(n_base, k_max, grid, n_reps, seed):
+    task = partial(_tree_grid_task, n_base=n_base, s_grid=grid, k_max=k_max)
+    return map_replicated(task, n_reps, seed)
+
+
 def test_functional_grid_cmj():
-    report = functional_grid_test(
-        "cmj",
-        (0.5, 1.0),
-        k_max=2,
-        n_reps=300,
-        seed=5,
-        dist=EXP1,
-        horizon=60.0,
-    )
+    raw = _cmj_grid_counts(60.0, 2, (0.5, 1.0), n_reps=300, seed=5)
+    report = functional_grid_test(raw, (0.5, 1.0), 60.0, EXP1.mu, EXP1.sigma2)
     assert report.t_grid == (0.5, 1.0)
     assert set(report.marginals) == {(1, 0), (1, 1), (2, 0), (2, 1)}
     assert report.min_marginal_p > 1e-4
@@ -160,9 +170,8 @@ def _assert_unit_fraction_marginals(report, zs):
 
 def test_functional_grid_unit_fraction_marginals_match_normalize_cmj():
     horizon, n_reps, seed = 30.0, 64, 8
-    report = functional_grid_test(
-        "cmj", (1.0,), k_max=2, n_reps=n_reps, seed=seed, dist=EXP1, horizon=horizon
-    )
+    raw = _cmj_grid_counts(horizon, 2, (1.0,), n_reps, seed)
+    report = functional_grid_test(raw, (1.0,), horizon, EXP1.mu, EXP1.sigma2)
     trajs = [simulate_cmj(EXP1, horizon, 2, RngStream(seed, r)) for r in range(n_reps)]
     zs = {}
     for k in (1, 2):
@@ -173,90 +182,75 @@ def test_functional_grid_unit_fraction_marginals_match_normalize_cmj():
 
 def test_functional_grid_tree_marginals_match_normalize_cmj_at_log_n():
     n_base, n_reps, seed = 3001, 64, 8
-    report = functional_grid_test("tree", (1.0,), k_max=2, n_reps=n_reps, seed=seed, n_base=n_base)
+    raw = _tree_grid_counts(n_base, 2, (1.0,), n_reps, seed)
+    # n_base vertices: n = n_base - 1 attachments, the exp(1) process at ln n
+    report = functional_grid_test(raw, (1.0,), math.log(n_base - 1))
     paths = [grow_and_record(n_base, (1.0,), 2, RngStream(seed, r)) for r in range(n_reps)]
     zs = {}
     for k in (1, 2):
         counts = [path.values[0, k - 1] for path in paths]
-        # n_base vertices: n = n_base - 1 attachments, the exp(1) process at ln n
         zs[k] = normalize_cmj(counts, math.log(n_base - 1), k, 1.0, 1.0)
     _assert_unit_fraction_marginals(report, zs)
 
 
 def test_functional_grid_deterministic_across_workers():
-    kwargs = dict(
-        t_grid=(0.5, 1.0),
-        k_max=1,
-        n_reps=64,
-        seed=12,
-        dist=EXP1,
-        horizon=40.0,
-    )
-    one = functional_grid_test("cmj", workers=1, **kwargs)
-    again = functional_grid_test("cmj", workers=1, **kwargs)
-    split = functional_grid_test("cmj", workers=2, **kwargs)
+    grid, horizon = (0.5, 1.0), 40.0
+
+    def score(workers):
+        raw = _cmj_grid_counts(horizon, 1, grid, n_reps=64, seed=12, workers=workers)
+        return functional_grid_test(raw, grid, horizon)
+
+    one, again, split = score(1), score(1), score(2)
     assert np.array_equal(one.cov_emp, again.cov_emp)
     assert np.array_equal(one.cov_emp, split.cov_emp)
     assert one.max_marginal_stat == split.max_marginal_stat
 
 
-def test_functional_grid_tree_mode():
-    report = functional_grid_test(
-        "tree",
-        (0.5, 1.0),
-        k_max=1,
-        n_reps=150,
-        seed=3,
-        n_base=2000,
-    )
+def test_functional_grid_tree_counts():
+    raw = _tree_grid_counts(2000, 1, (0.5, 1.0), n_reps=150, seed=3)
+    report = functional_grid_test(raw, (0.5, 1.0), math.log(1999))
     assert set(report.marginals) == {(1, 0), (1, 1)}
     # convergence in ln n is slow, so only coarse agreement is asserted here
     assert report.max_marginal_stat < 0.3
     assert np.isfinite(report.max_cov_dev_se)
 
 
+_RAW = np.ones((50, 1, 2))
+
+
 def test_functional_grid_validation():
     with pytest.raises(ValueError):
-        functional_grid_test("cmj", (0.5, 0.25), 1, 50, 0, dist=EXP1, horizon=10.0)
+        functional_grid_test(_RAW, (0.5, 0.25), 10.0)
     with pytest.raises(ValueError):
-        functional_grid_test("cmj", (0.0,), 1, 50, 0, dist=EXP1, horizon=10.0)
-    with pytest.raises(ValueError):
-        functional_grid_test("cmj", (0.5, 1.0), 1, 4, 0, dist=EXP1, horizon=10.0)
-    with pytest.raises(ValueError):
-        functional_grid_test("cmj", (0.5, 1.0), 1, 50, 0, horizon=10.0)
-    with pytest.raises(ValueError):
-        functional_grid_test(
-            "cmj", (0.5, 1.0), 1, 50, 0, dist=make_distribution("det(1)"), horizon=10.0
-        )
-    with pytest.raises(ValueError):
-        functional_grid_test("tree", (0.5, 1.0), 1, 50, 0, n_base=1)
-    with pytest.raises(ValueError):
-        functional_grid_test("paths", (0.5, 1.0), 1, 50, 0, n_base=100)
+        functional_grid_test(_RAW[:, :, :1], (0.0,), 10.0)
+    with pytest.raises(ValueError, match="n_reps"):
+        functional_grid_test(_RAW[:4], (0.5, 1.0), 10.0)
+    # a degenerate law, such as det(1), has sigma2 = 0 and no Gaussian limit
+    with pytest.raises(ValueError, match="sigma2"):
+        functional_grid_test(_RAW, (0.5, 1.0), 10.0, 1.0, 0.0)
+    # counts whose shape does not match the grid
+    for raw in (_RAW[0], _RAW[:, :0], _RAW[:, :, :1], np.ones((50, 1, 2, 1))):
+        with pytest.raises(ValueError, match="raw"):
+            functional_grid_test(raw, (0.5, 1.0), 10.0)
+    # a non-finite count would drop out of the worst-marginal maximum unseen
+    for bad in (math.nan, math.inf):
+        raw = _RAW.copy()
+        raw[3, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            functional_grid_test(raw, (0.5, 1.0), 10.0)
 
 
-@pytest.fixture
-def no_simulation(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("simulated a grid test that must be refused")
-
-    monkeypatch.setattr(stat_tests, "map_replicated", never)
-
-
-def test_functional_grid_refuses_nan_fraction_before_simulating(no_simulation):
+def test_functional_grid_refuses_nan_fraction():
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        functional_grid_test("cmj", (0.5, math.nan), 1, 50, 0, dist=EXP1, horizon=10.0)
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        functional_grid_test("tree", (0.5, math.nan), 1, 50, 0, n_base=100)
+        functional_grid_test(_RAW, (0.5, math.nan), 10.0)
 
 
-def test_functional_grid_refuses_origin_and_tiny_tree_before_simulating(no_simulation):
+def test_functional_grid_refuses_origin_and_zero_time():
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        functional_grid_test("cmj", (0.0, 1.0), 1, 50, 0, dist=EXP1, horizon=10.0)
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        functional_grid_test("tree", (0.0, 1.0), 1, 50, 0, n_base=100)
+        functional_grid_test(_RAW, (0.0, 1.0), 10.0)
     # a 2-vertex tree sits at ln 1 = 0, where the scale is undefined
-    with pytest.raises(ValueError, match="n_base"):
-        functional_grid_test("tree", (0.5, 1.0), 1, 50, 0, n_base=2)
+    with pytest.raises(ValueError, match="t must be positive"):
+        functional_grid_test(_RAW, (0.5, 1.0), math.log(2 - 1))
 
 
 def test_max_dev_se_counts_a_gap_without_error_as_infinite():

@@ -56,6 +56,7 @@ _PASS = 1 << 18
 _MAX_WIDTHS = 8
 
 
+@dataclass(frozen=True)
 class CmjTrajectory:
     """Events of one truncated branching run, grouped by generation.
 
@@ -64,14 +65,11 @@ class CmjTrajectory:
     generation-1 ancestor, 1 + that ancestor's index in times[0].
     """
 
-    __slots__ = ("dist", "horizon", "k_max", "times", "anc1")
-
-    def __init__(self, dist, horizon, k_max, times, anc1):
-        self.dist = dist
-        self.horizon = float(horizon)
-        self.k_max = int(k_max)
-        self.times = times
-        self.anc1 = anc1
+    dist: IncrementDistribution
+    horizon: float
+    k_max: int
+    times: list
+    anc1: list
 
     @property
     def n_events(self) -> int:
@@ -236,7 +234,7 @@ def simulate_cmj(
         order = np.argsort(t, kind="stable")
         times.append(t[order])
         anc1.append(anc[order])
-    return CmjTrajectory(dist, horizon, k_max, times, anc1)
+    return CmjTrajectory(dist, float(horizon), int(k_max), times, anc1)
 
 
 def generation_counts(

@@ -40,14 +40,14 @@ class IncrementDistribution:
         inner = ",".join(_param_text(p) for p in self.params)
         return f"{self.kind}({inner})"
 
-    def sample(self, rng: RngStream, size=None) -> np.ndarray | float:
-        """Draw from the law using rng; vectorized when size is given."""
+    def sample(self, rng: RngStream, size) -> np.ndarray:
+        """Draw size values from the law using rng."""
         g = rng.gen
         if self.kind == "exp":
             return g.exponential(1.0 / self.params[0], size)
         if self.kind == "gamma":
             shape, rate = self.params
-            if size is not None and shape == 2.0:
+            if shape == 2.0:
                 # gamma(2) is the sum of two exponentials (Devroye 1986, Ch. IX),
                 # cheaper than Generator.gamma; the registry's gamma(2,2) draws here.
                 out = g.standard_exponential(size)
@@ -58,11 +58,7 @@ class IncrementDistribution:
         if self.kind == "uniform":
             a, b = self.params
             return g.uniform(a, b, size)
-        # det: no entropy consumed
-        d = self.params[0]
-        if size is None:
-            return d
-        return np.full(size, d)
+        return np.full(size, self.params[0])  # det: no entropy consumed
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

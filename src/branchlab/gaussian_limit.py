@@ -99,7 +99,10 @@ def marginal_sd(k: int, s: float) -> float:
         raise ValueError("order must be >= 1")
     if not 0 <= s < math.inf:
         raise ValueError("time must be finite and >= 0")
-    return math.sqrt(s ** (2 * k - 1) / (2 * k - 1))
+    try:
+        return math.sqrt(s ** (2 * k - 1) / (2 * k - 1))
+    except OverflowError:  # float ** raises where float * gives inf
+        raise ValueError(f"the variance of R_{k}({s:g}) overflows a float") from None
 
 
 def build_cov_matrix(k_max: int, t_grid) -> CovMatrix:

@@ -35,20 +35,12 @@ class RecursiveTree:
 
     parent: np.ndarray
 
-    @property
-    def n_vertices(self) -> int:
-        return int(self.parent.shape[0])
-
-    def depths(self) -> np.ndarray:
-        return depths_from_parents(self.parent)
-
 
 @dataclass(frozen=True)
 class ProfileVector:
     """Level occupancy counts of one tree; counts[0] is always 1 (the root)."""
 
     counts: np.ndarray
-    n: int  # number of non-root vertices
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,7 @@ class ProfilePath:
     sizes[i] vertices in total; levels run 1..k_max.
     """
 
-    n_base: int
     t_grid: np.ndarray
-    k_max: int
     sizes: np.ndarray
     values: np.ndarray
 
@@ -128,8 +118,7 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
 
 def profile(tree: RecursiveTree) -> ProfileVector:
     """Level occupancy counts of the whole tree."""
-    counts = np.bincount(tree.depths())
-    return ProfileVector(counts, tree.n_vertices - 1)
+    return ProfileVector(np.bincount(depths_from_parents(tree.parent)))
 
 
 def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.ndarray:
@@ -170,7 +159,15 @@ def _level_masks(parents: np.ndarray, k_max: int):
 
 
 def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
-    """Counts at levels 1..k_max for every row of a parent matrix."""
+    """Counts at levels 1..k_max for every row of a parent matrix.
+
+    Raises CapExceededError, before allocating, when the counts would hold
+    more than MAX_TREE_VERTICES cells.
+    """
+    if parents.shape[0] * k_max > MAX_TREE_VERTICES:
+        raise CapExceededError(
+            f"{parents.shape[0]} trees times {k_max} levels exceed the cap {MAX_TREE_VERTICES}"
+        )
     out = np.zeros((parents.shape[0], k_max), dtype=np.int64)
     for k, mask in enumerate(_level_masks(parents, k_max), start=1):
         out[:, k - 1] = np.count_nonzero(mask, axis=1)
@@ -229,7 +226,7 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     for k, mask in enumerate(_level_masks(tree.parent[1:], k_max), start=1):
         # vertices at level k, in insertion order
         values[:, k - 1] = np.searchsorted(np.flatnonzero(mask) + 1, sizes, side="left")
-    return ProfilePath(n_base, t_grid, k_max, sizes, values)
+    return ProfilePath(t_grid, sizes, values)
 
 
 def exact_profile_distribution(n_plus_1: int) -> dict[tuple[int, ...], float]:

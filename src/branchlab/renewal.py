@@ -49,16 +49,16 @@ class RenewalTable:
         return int(self.uk.shape[1]) - 1
 
     @property
-    def tmax(self) -> float:
-        return self.n_cells * self.h
-
-    @property
     def grid(self) -> np.ndarray:
         return np.arange(self.uk.shape[1]) * self.h
 
     def _check_covers(self, t) -> None:
-        if np.any(np.asarray(t) > self.tmax + 1e-9 * max(1.0, self.tmax)):
-            raise TableCoverageError(f"requested time beyond table horizon {self.tmax}")
+        t = np.asarray(t)
+        if np.any(np.isnan(t)):
+            raise ValueError("requested time is NaN")
+        tmax = self.n_cells * self.h
+        if np.any(t > tmax + 1e-9 * max(1.0, tmax)):
+            raise TableCoverageError(f"requested time beyond table horizon {tmax}")
 
     def _row(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.k_max:
@@ -66,7 +66,7 @@ class RenewalTable:
         return self.uk[k - 1]
 
     def interp(self, k: int, t) -> np.ndarray | float:
-        """Linearly interpolated U_k(t); 0 for t < 0, error beyond the grid."""
+        """Linearly interpolated U_k(t); 0 for t < 0, error beyond the grid or at NaN."""
         row = self._row(k)
         t_arr = np.asarray(t, dtype=float)
         self._check_covers(t_arr)
@@ -88,6 +88,22 @@ class RenewalTable:
         if rem > 0:
             full += 0.5 * (row[i] + self.interp(k, t)) * rem
         return full
+
+
+def _leading_term(x, k: int, mu: float):
+    """x**k / (k! mu**k), the leading term of U_k(x), elementwise.
+
+    Raises ValueError where the term, or a factor of it, leaves the double
+    range.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            term = x**k / (math.factorial(k) * mu**k)
+    except (OverflowError, ZeroDivisionError):
+        term = math.inf
+    if not np.all(np.isfinite(term)):
+        raise ValueError(f"x**k / (k! mu**k) at k = {k}, mu = {mu:g} leaves the double range")
+    return term
 
 
 def _volterra_u(dist: IncrementDistribution, n_cells: int, h: float) -> np.ndarray:
@@ -217,8 +233,7 @@ def uk_bound_check(table: RenewalTable, k: int) -> float:
     numerically.
     """
     row = table._row(k)
-    t = table.grid
-    poly = t**k / (math.factorial(k) * table.dist.mu**k)
+    poly = _leading_term(table.grid, k, table.dist.mu)
     slack = np.abs(row - poly) - uk_deviation_bound(table, k)
     return float(slack.max())
 
@@ -275,7 +290,7 @@ def yk3_exact(table: RenewalTable, k: int, t: float) -> float:
     if table.k_max < k - 1:
         raise TableCoverageError(f"table must hold orders up to {k - 1}")
     mu = table.dist.mu
-    return table.integral(k - 1, t) / mu - t**k / (math.factorial(k) * mu**k)
+    return table.integral(k - 1, t) / mu - _leading_term(t, k, mu)
 
 
 def abs_normal_moment(p: float, variance: float) -> float:
@@ -294,7 +309,8 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
     departs from U: against a grid solved at h = 0.005 it is within 2.5e-6
     for gamma(2,2) and uniform(0.5,1.5) at t >= 10, but off by 1.7e-4 for
     gamma(0.5,0.5) at t = 10 and 0.075 at t = 1. At small t the Gaussian
-    prediction is only asymptotic as well.
+    prediction is only asymptotic as well. Raises ValueError when either
+    moment leaves the double range.
     """
     if len(counts) == 0:
         raise ValueError("counts must be nonempty")
@@ -305,9 +321,16 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     u_t = t / dist.mu + (dist.sigma2 - dist.mu**2) / (2.0 * dist.mu**2)
-    num = float(np.mean(np.abs(np.asarray(counts) - u_t) ** p))
-    den = abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0)
-    return num / den
+    with np.errstate(over="ignore"):
+        num = float(np.mean(np.abs(np.asarray(counts) - u_t) ** p))
+    try:
+        den = abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0)
+    except OverflowError:
+        den = math.inf
+    ratio = num / den if 0.0 < den < math.inf else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"the order-{p:g} moments at t = {t:g} leave the double range")
+    return ratio
 
 
 def table_from_csv(path: str, dist: IncrementDistribution) -> RenewalTable:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_limit import CovMatrix, build_cov_matrix, marginal_sd
+from .gaussian_limit import build_cov_matrix, marginal_sd
+from .renewal import _leading_term
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ def ks_one_sample(samples, cdf) -> KsReport:
     n = xs.size
     if n < 2:
         raise ValueError("need at least two samples")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     fx = np.asarray(cdf(xs), dtype=float)
     grid = np.arange(1, n + 1, dtype=float) / n
     d_plus = float(np.max(grid - fx))
@@ -53,6 +56,8 @@ def ks_two_sample(a, b) -> KsReport:
     xb = np.sort(np.asarray(b, dtype=float).ravel())
     if xa.size < 2 or xb.size < 2:
         raise ValueError("need at least two samples on each side")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+        raise ValueError("samples must be finite")
     pooled = np.concatenate([xa, xb])
     pooled.sort()
     ca = np.searchsorted(xa, pooled, side="right") / xa.size
@@ -79,6 +84,8 @@ def normalize_cmj(
     A uniform recursive tree with n + 1 vertices is the exp(1) process
     (mu = sigma2 = 1) at time t = ln n, so the same map normalises its
     level-k counts: (k-1)! (x - (s ln n)^k / k!) / (ln n)^(k - 1/2).
+
+    Raises ValueError when the center or the scale leaves the double range.
     """
     if k < 1:
         raise ValueError("generation k must be >= 1")
@@ -91,35 +98,35 @@ def normalize_cmj(
     if not 0.0 <= s < math.inf:
         raise ValueError("grid fraction s must be finite and >= 0")
     y = np.asarray(counts, dtype=float)
-    center = (s * t) ** k / (math.factorial(k) * mu**k)
-    denom = math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1))
-    return (y - center) * (math.factorial(k - 1) / denom)
+    center = _leading_term(s * t, k, mu)
+    try:
+        denom = math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1))
+        scale = math.factorial(k - 1) / denom
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"the order-{k} scale at t = {t:g}, mu = {mu:g} leaves the double range")
+    return (y - center) * scale
 
 
-def empirical_cov(samples, index=None):
+def empirical_cov(samples):
     """Sample covariance matrix with entrywise standard errors.
 
-    samples has one row per replicate. Returns (CovMatrix, se) where
+    samples has one row per replicate. Returns (cov, se) where
     se[a, b] estimates the sampling error of entry (a, b) from the
     fourth moments, sqrt((E[za^2 zb^2] - c_ab^2) / M).
     """
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("samples must be (n_reps, dim) with n_reps >= 2")
-    m, d = z.shape
-    if index is None:
-        index = tuple(range(d))
-    else:
-        index = tuple(index)
-        if len(index) != d:
-            raise ValueError("index length does not match sample dimension")
+    m = z.shape[0]
     zc = z - z.mean(axis=0)
     cov = zc.T @ zc / (m - 1)
     second = zc**2
     m22 = second.T @ second / m
     var_hat = np.maximum(m22 - cov**2, 0.0)
     se = np.sqrt(var_hat / m)
-    return CovMatrix(index=index, matrix=cov), se
+    return cov, se
 
 
 def max_dev_se(emp, target, se) -> float:
@@ -138,7 +145,6 @@ class GridTestReport:
     marginals: dict
     min_marginal_p: float
     max_marginal_stat: float
-    cov_emp: np.ndarray
     max_cov_dev_se: float
 
 
@@ -190,13 +196,12 @@ def functional_grid_test(
 
     target = build_cov_matrix(k_max, s_grid)
     flat = z.reshape(n_reps, k_max * len(s_grid))
-    emp, se = empirical_cov(flat, index=target.index)
+    emp, se = empirical_cov(flat)
 
     return GridTestReport(
         t_grid=s_grid,
         marginals=marginals,
         min_marginal_p=float(min_p),
         max_marginal_stat=float(max_stat),
-        cov_emp=emp.matrix,
-        max_cov_dev_se=max_dev_se(emp.matrix, target.matrix, se),
+        max_cov_dev_se=max_dev_se(emp, target.matrix, se),
     )

@@ -109,16 +109,16 @@ def _json_number(x):
 # replicate tasks (module level so worker processes can unpickle them)
 
 
-def _embedding_task(rng, n, k_hi, n_trees):
-    """Levels 1..k_hi of n_trees uniform-attachment and n_trees clock-grown trees, side by side."""
-    direct = level_counts_batch(generate_parent_matrix(n_trees, n + 1, rng), k_hi)
-    emb = level_counts_batch(_embedded_parent_matrix(n_trees, n, rng), k_hi)
-    return np.hstack([direct, emb]).astype(float)
-
-
 def _tree_batch_task(rng, n_plus_1, k_hi, n_trees):
     parents = generate_parent_matrix(n_trees, n_plus_1, rng)
     return level_counts_batch(parents, k_hi).astype(float)
+
+
+def _embedding_task(rng, n, k_hi, n_trees):
+    """Levels 1..k_hi of n_trees uniform-attachment and n_trees clock-grown trees, side by side."""
+    direct = _tree_batch_task(rng, n + 1, k_hi, n_trees)
+    emb = level_counts_batch(_embedded_parent_matrix(n_trees, n, rng), k_hi)
+    return np.hstack([direct, emb])
 
 
 _TV_SIZES = range(3, 8)
@@ -181,27 +181,28 @@ def _test_cov_closed_form(cfg, seed):
     ]
 
 
+def _ks_entry(name, rep, budget, gating, details):
+    return _entry(
+        name, rep.statistic, budget, gating, p_value=rep.p_value, n_eff=rep.n_eff, details=details
+    )
+
+
 def _test_embedding_ks(cfg, seed):
     n, k_hi = 500, 3
     m = 1000 if cfg.quick else 5000
     task = partial(_embedding_task, n=n, k_hi=k_hi, n_trees=200)
     rows = map_replicated(task, m // 200, seed, workers=cfg.workers).reshape(m, 2 * k_hi)
     budget = _TWO_SAMPLE_CRIT * math.sqrt(2.0 / m)
-    out = []
-    for k in range(1, k_hi + 1):
-        rep = ks_two_sample(rows[:, k - 1], rows[:, k_hi + k - 1])
-        out.append(
-            _entry(
-                f"embedding_ks.level{k}",
-                rep.statistic,
-                budget,
-                True,
-                p_value=rep.p_value,
-                n_eff=rep.n_eff,
-                details={"n": n, "n_reps": m},
-            )
+    return [
+        _ks_entry(
+            f"embedding_ks.level{k}",
+            ks_two_sample(rows[:, k - 1], rows[:, k_hi + k - 1]),
+            budget,
+            True,
+            {"n": n, "n_reps": m},
         )
-    return out
+        for k in range(1, k_hi + 1)
+    ]
 
 
 def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, mu=1.0, sigma2=1.0):
@@ -213,15 +214,7 @@ def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, m
     raw = map_replicated(task, m, seed, workers=cfg.workers)
     report = functional_grid_test(raw, (1.0,), t, mu, sigma2)
     return [
-        _entry(
-            f"{label}.k{k}",
-            rep.statistic,
-            budget,
-            gating,
-            p_value=rep.p_value,
-            n_eff=rep.n_eff,
-            details={**details, "n_reps": m},
-        )
+        _ks_entry(f"{label}.k{k}", rep, budget, gating, {**details, "n_reps": m})
         for (k, _), rep in report.marginals.items()
     ]
 
@@ -339,11 +332,11 @@ def _test_limit_sampler_cov(cfg, seed):
     cov = build_cov_matrix(3, (0.5, 1.0))
     task = partial(sample_limit, cov, 1000)
     draws = map_replicated(task, m // 1000, seed, workers=cfg.workers)
-    emp, se = empirical_cov(np.concatenate([d.samples for d in draws]), index=cov.index)
+    emp, se = empirical_cov(np.concatenate([d.samples for d in draws]))
     return [
         _entry(
             "limit_sampler_cov.dev_se",
-            max_dev_se(emp.matrix, cov.matrix, se),
+            max_dev_se(emp, cov.matrix, se),
             4.0,
             True,
             n_eff=m,

@@ -26,7 +26,7 @@ from branchlab.cmj import (
     simulate_embedded_rrt,
 )
 from branchlab.distributions import make_distribution
-from branchlab.recursive_tree import generate_rrt
+from branchlab.recursive_tree import depths_from_parents, generate_rrt
 from branchlab.renewal import build_renewal_table
 from branchlab.rng import RngStream
 from branchlab.stat_tests import ks_two_sample
@@ -418,7 +418,7 @@ def test_embedded_profile_matches_uniform_attachment():
     n, m = 200, 1500
     direct = np.empty(m)
     for r in range(m):
-        d = generate_rrt(n + 1, RngStream(51, r)).depths()
+        d = depths_from_parents(generate_rrt(n + 1, RngStream(51, r)).parent)
         direct[r] = float(np.count_nonzero(d == 1))
     embedded = np.count_nonzero(_embedded_parent_matrix(m, n, RngStream(52, 0)) == 0, axis=1)
     report = ks_two_sample(direct, embedded.astype(float))

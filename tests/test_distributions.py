@@ -164,8 +164,6 @@ def test_gamma_2_draws_match_generator_gamma_in_law():
     b = RngStream(21, 1).gen.gamma(2.0, 0.5, 200_000)
     report = ks_two_sample(a, b)
     assert report.statistic < _TWO_SAMPLE_CRIT * math.sqrt(2.0 / 200_000)
-    # one draw at a time keeps Generator.gamma
-    assert d.sample(RngStream(21, 2)) == RngStream(21, 2).gen.gamma(2.0, 0.5)
 
 
 @pytest.mark.parametrize("text", ["gamma(1,1)", "gamma(3,0.5)", "gamma(2.5,1)", "gamma(0.1,0.1)"])
@@ -174,7 +172,6 @@ def test_other_gamma_shapes_draw_through_generator_gamma(text):
     shape, rate = d.params
     want = RngStream(5, 0).gen.gamma(shape, 1.0 / rate, 1000)
     assert d.sample(RngStream(5, 0), 1000).tobytes() == want.tobytes()
-    assert d.sample(RngStream(5, 0)) == RngStream(5, 0).gen.gamma(shape, 1.0 / rate)
 
 
 def test_det_sampling_is_constant_and_entropy_free():

@@ -1,7 +1,8 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads.
 
-Also: public entry points refuse out-of-range times, and start-up and the
-cmj and stat_tests modules load only the modules they need.
+Also: public entry points refuse out-of-range times, powers and samples,
+and start-up and the cmj and stat_tests modules load only the modules they
+need.
 """
 import ast
 import json
@@ -11,15 +12,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import branchlab
 import branchlab.cli  # noqa: F401  (loads every branchlab module, as the bench does)
 from branchlab.cmj import count_generation, simulate_cmj
 from branchlab.distributions import IncrementDistribution, make_distribution
 from branchlab.gaussian_limit import marginal_sd
-from branchlab.renewal import moment_ratio, renewal_function_grid
+from branchlab.renewal import (
+    build_renewal_table,
+    moment_ratio,
+    renewal_function_grid,
+    second_moment_rhs,
+    uk_bound_check,
+    yk3_exact,
+)
 from branchlab.rng import RngStream
+from branchlab.stat_tests import functional_grid_test, ks_one_sample, ks_two_sample, normalize_cmj
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -55,6 +66,8 @@ def test_traced_functions_exist():
 _EXP1 = make_distribution("exp(1)")
 _TRAJ = simulate_cmj(_EXP1, 3.0, 2, RngStream(0, 1))
 _COUNTS = [3.0, 2.0, 4.0]
+_TABLE = build_renewal_table(_EXP1, 1.0, h=0.1, k_max=2)
+_DEEP_TABLE = build_renewal_table(_EXP1, 1.0, h=0.1, k_max=200)  # 200! overflows a float
 
 
 @pytest.mark.parametrize(
@@ -71,12 +84,27 @@ _COUNTS = [3.0, 2.0, 4.0]
         pytest.param(moment_ratio, (_COUNTS, _EXP1, math.inf, 2.0), id="moment_ratio-t=inf"),
         pytest.param(moment_ratio, (_COUNTS, _EXP1, 3.0, math.nan), id="moment_ratio-p=nan"),
         pytest.param(moment_ratio, (_COUNTS, _EXP1, 3.0, math.inf), id="moment_ratio-p=inf"),
+        pytest.param(moment_ratio, (_COUNTS, _EXP1, 3.0, 400.0), id="moment_ratio-p=400"),
+        pytest.param(marginal_sd, (10**6, 2.0), id="marginal_sd-k=1e6"),
+        pytest.param(normalize_cmj, (_COUNTS, 2.0, 171, 1.0, 1.0), id="normalize_cmj-k=171"),
+        pytest.param(normalize_cmj, (_COUNTS, 1e200, 2, 1.0, 1.0), id="normalize_cmj-t=1e200"),
+        pytest.param(normalize_cmj, (_COUNTS, 2.0, 2, 1e-200, 1.0), id="normalize_cmj-mu=1e-200"),
+        pytest.param(
+            functional_grid_test, (np.ones((8, 200, 1)), (1.0,), 2.0), id="grid_test-k_max=200"
+        ),
+        pytest.param(yk3_exact, (_DEEP_TABLE, 200, 1.0), id="yk3_exact-k=200"),
+        pytest.param(uk_bound_check, (_DEEP_TABLE, 200), id="uk_bound_check-k=200"),
+        pytest.param(_TABLE.interp, (1, math.nan), id="interp-t=nan"),
+        pytest.param(_TABLE.integral, (1, math.nan), id="integral-t=nan"),
+        pytest.param(second_moment_rhs, (_TABLE, 2, math.nan), id="second_moment_rhs-t=nan"),
+        pytest.param(yk3_exact, (_TABLE, 2, math.nan), id="yk3_exact-t=nan"),
+        pytest.param(ks_two_sample, ([math.nan, 1.0, 2.0], [1.0, 2.0]), id="ks_two_sample-nan"),
+        pytest.param(ks_one_sample, ([math.inf, 1.0, 2.0], ndtr), id="ks_one_sample-inf"),
     ],
 )
 def test_out_of_range_times_and_powers_are_refused(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
-
 
 def test_counter_attributes_exist():
     # the result attributes that the tracer's work counters read

@@ -52,7 +52,6 @@ def test_profile_counts_sum_to_size():
         p = profile(tree)
         assert int(p.counts.sum()) == 300
         assert p.counts[0] == 1
-        assert p.n == 299
         # a vertex at depth d has ancestors at every depth below d
         assert np.all(p.counts >= 1)
 
@@ -171,6 +170,15 @@ def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch
     ref = RngStream(5, 1)
     ref.gen.integers(0, np.arange(1, 11), size=(10, 10))
     assert rng.gen.random() == ref.gen.random()  # the refusals drew nothing
+
+
+def test_level_counts_batch_past_the_cap_is_refused_before_allocating(monkeypatch):
+    parents = generate_parent_matrix(20, 30, RngStream(5, 2))
+    monkeypatch.setattr(recursive_tree, "MAX_TREE_VERTICES", 100)
+    assert level_counts_batch(parents, 5).shape == (20, 5)  # at the cap
+    for k_max in (6, 10**12):
+        with pytest.raises(CapExceededError):
+            level_counts_batch(parents, k_max)
 
 
 def test_tree_batch_task_level1_counts_root_children():

@@ -103,6 +103,8 @@ def test_uk_deviation_bound_formula(exp_table):
 def test_interp_and_integral(exp_table):
     assert exp_table.interp(1, 2.345) == pytest.approx(2.345, abs=1e-10)
     assert exp_table.interp(1, -3.0) == 0.0
+    assert exp_table.interp(1, -math.inf) == 0.0
+    assert exp_table.integral(1, -math.inf) == 0.0
     assert exp_table.integral(1, 10.0) == pytest.approx(50.0, rel=1e-8)
     with pytest.raises(TableCoverageError):
         exp_table.interp(1, 51.0)

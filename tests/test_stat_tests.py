@@ -127,13 +127,11 @@ def test_empirical_cov_basics():
     col = gen.standard_normal(4000)
     paired = np.column_stack([col, col])
     cov, se = empirical_cov(paired)
-    assert cov.matrix[0, 0] == pytest.approx(cov.matrix[1, 1])
-    assert cov.matrix[0, 1] == pytest.approx(cov.matrix[0, 0])
-    assert abs(cov.matrix[0, 0] - 1.0) < 4 * se[0, 0]
+    assert cov[0, 0] == pytest.approx(cov[1, 1])
+    assert cov[0, 1] == pytest.approx(cov[0, 0])
+    assert abs(cov[0, 0] - 1.0) < 4 * se[0, 0]
     with pytest.raises(ValueError):
         empirical_cov(paired[:1])
-    with pytest.raises(ValueError):
-        empirical_cov(paired, index=[(1, 0.5)])
 
 
 def _cmj_grid_counts(horizon, k_max, grid, n_reps, seed, workers=1):
@@ -153,7 +151,6 @@ def test_functional_grid_cmj():
     assert set(report.marginals) == {(1, 0), (1, 1), (2, 0), (2, 1)}
     assert report.min_marginal_p > 1e-4
     assert report.max_cov_dev_se < 6.0
-    assert report.cov_emp.shape == (4, 4)
 
 
 def _assert_unit_fraction_marginals(report, zs):
@@ -196,14 +193,14 @@ def test_functional_grid_tree_marginals_match_normalize_cmj_at_log_n():
 def test_functional_grid_deterministic_across_workers():
     grid, horizon = (0.5, 1.0), 40.0
 
-    def score(workers):
-        raw = _cmj_grid_counts(horizon, 1, grid, n_reps=64, seed=12, workers=workers)
-        return functional_grid_test(raw, grid, horizon)
+    def draw(workers):
+        return _cmj_grid_counts(horizon, 1, grid, n_reps=64, seed=12, workers=workers)
 
-    one, again, split = score(1), score(1), score(2)
-    assert np.array_equal(one.cov_emp, again.cov_emp)
-    assert np.array_equal(one.cov_emp, split.cov_emp)
-    assert one.max_marginal_stat == split.max_marginal_stat
+    one, again, split = draw(1), draw(1), draw(2)
+    assert one.tobytes() == again.tobytes() == split.tobytes()
+    reports = [functional_grid_test(raw, grid, horizon) for raw in (one, split)]
+    assert reports[0].max_marginal_stat == reports[1].max_marginal_stat
+    assert reports[0].max_cov_dev_se == reports[1].max_cov_dev_se
 
 
 def test_functional_grid_tree_counts():

@@ -36,8 +36,9 @@ from .recursive_tree import RecursiveTree
 from .rng import RngStream
 
 # A run holds about 33 bytes per event. simulate_cmj(exp(1), 16.46, 30) made 2.6e7
-# events in 16 s and 0.94 GB (fresh process, 2 cores): about 20 s and 1.2 GB at the
-# cap. The cmj command, writing its 0.63 GB CSV as well, took 48 s and 1.9 GB.
+# events in 11 s and 0.90 GB (fresh process, 2 cores): about 15 s and 1.2 GB at the
+# cap. The cmj command, writing its 0.63 GB CSV in merged time blocks as well, took
+# 31 s and 0.88 GB: the writer adds no peak to the run's own.
 MAX_EVENTS = 2**25
 # With m = horizon/mu, a run of k_max >= 40 generations and m >= 20 expects
 # about e**20 > MAX_EVENTS events. So every admitted run that deep has
@@ -74,21 +75,6 @@ class CmjTrajectory:
     @property
     def n_events(self) -> int:
         return int(sum(t.shape[0] for t in self.times))
-
-    def merged_order(self):
-        """Global event order (time, then generation, then creation order).
-
-        Returns (times, generations, ancestors), one entry per event. Each
-        generation is stored in that order, so a stable sort by time of
-        their concatenation gives it.
-        """
-        sizes = [t.shape[0] for t in self.times]
-        all_t = np.concatenate(self.times) if self.times else np.empty(0)
-        order = np.argsort(all_t, kind="stable")
-        all_t = all_t[order]
-        gens = np.repeat(np.arange(1, len(sizes) + 1, dtype=np.int64), sizes)[order]
-        anc = np.concatenate(self.anc1)[order] if self.anc1 else np.empty(0, dtype=np.int64)
-        return all_t, gens, anc
 
 
 @dataclass(frozen=True)
@@ -293,7 +279,7 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
     parent = np.full(n + 1, -1, dtype=np.int64)
     birth_times = np.empty(n)
     if n:
-        draws = rng.gen.exponential(size=2 * n + 1)
+        draws = rng.exponential(size=2 * n + 1)
         heap = [(draws[0], 0)]
         for i in range(1, n + 1):
             t, v = heapq.heappop(heap)
@@ -319,7 +305,7 @@ def _embedded_parent_matrix(n_trees: int, n: int, rng: RngStream) -> np.ndarray:
     parents = np.empty((n_trees, n), dtype=np.int64)
     if n == 0:
         return parents
-    draws = rng.gen.exponential(size=(n_trees, 2 * n + 1))
+    draws = rng.exponential(size=(n_trees, 2 * n + 1))
     clock = np.full((n_trees, n + 1), np.inf)
     clock[:, 0] = draws[:, 0]
     rows = np.arange(n_trees)

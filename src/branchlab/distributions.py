@@ -42,22 +42,21 @@ class IncrementDistribution:
 
     def sample(self, rng: RngStream, size) -> np.ndarray:
         """Draw size values from the law using rng."""
-        g = rng.gen
         if self.kind == "exp":
-            return g.exponential(1.0 / self.params[0], size)
+            return rng.exponential(1.0 / self.params[0], size)
         if self.kind == "gamma":
             shape, rate = self.params
             if shape == 2.0:
                 # gamma(2) is the sum of two exponentials (Devroye 1986, Ch. IX),
                 # cheaper than Generator.gamma; the registry's gamma(2,2) draws here.
-                out = g.standard_exponential(size)
-                out += g.standard_exponential(size)
+                out = rng.standard_exponential(size)
+                out += rng.standard_exponential(size)
                 out *= 1.0 / rate
                 return out
-            return g.gamma(shape, 1.0 / rate, size)
+            return rng.gamma(shape, 1.0 / rate, size)
         if self.kind == "uniform":
             a, b = self.params
-            return g.uniform(a, b, size)
+            return rng.uniform(a, b, size)
         return np.full(size, self.params[0])  # det: no entropy consumed
 
     def cdf(self, x) -> np.ndarray:

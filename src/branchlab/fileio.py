@@ -50,49 +50,81 @@ def atomic_write_text(path, text: str) -> None:
         f.write(text)
 
 
-def _write_csv(path, header: str, fmt: str, *columns) -> None:
-    """Write the header line, then fmt % row for each row of the equal-length 1-d arrays."""
-    width, n = len(columns), len(columns[0])
-    step = max(1, _BLOCK_CELLS // width)
+def _write_csv(path, header: str, fmt: str, blocks) -> None:
+    """Write the header line, then fmt % row for each row of each block.
+
+    blocks yields tuples of equal-length 1-d column arrays.
+    """
     with _atomic_file(path) as f:
         f.write(header + "\n")
-        for lo in range(0, n, step):
-            # one format over the block's cells in row order: no tuple or string per row
-            cells = [None] * (min(step, n - lo) * width)
-            for j, c in enumerate(columns):
-                cells[j::width] = c[lo : lo + step].tolist()
-            f.write((fmt + "\n") * (len(cells) // width) % tuple(cells))
+        for columns in blocks:
+            width, n = len(columns), len(columns[0])
+            step = max(1, _BLOCK_CELLS // width)
+            for lo in range(0, n, step):
+                # one format over the piece's cells in row order: no tuple or string per row
+                cells = [None] * (min(step, n - lo) * width)
+                for j, c in enumerate(columns):
+                    cells[j::width] = c[lo : lo + step].tolist()
+                f.write((fmt + "\n") * (len(cells) // width) % tuple(cells))
 
 
 def write_tree_csv(path, tree: RecursiveTree) -> None:
     """One row per non-root vertex: vertex,parent."""
-    _write_csv(path, "vertex,parent", "%d,%d", np.arange(1, tree.parent.shape[0]), tree.parent[1:])
+    columns = (np.arange(1, tree.parent.shape[0]), tree.parent[1:])
+    _write_csv(path, "vertex,parent", "%d,%d", [columns])
 
 
 def write_profile_path_csv(path, profile_path: ProfilePath) -> None:
     """One row per grid point and level: t,k,count."""
     values = profile_path.values
     t, k = np.meshgrid(profile_path.t_grid, np.arange(1, values.shape[1] + 1), indexing="ij")
-    _write_csv(path, "t,k,count", "%.17g,%d,%d", t.ravel(), k.ravel(), values.ravel())
+    _write_csv(path, "t,k,count", "%.17g,%d,%d", [(t.ravel(), k.ravel(), values.ravel())])
+
+
+def _merged_blocks(traj: CmjTrajectory):
+    """Events as (times, generations, ancestors) blocks of about
+    _BLOCK_CELLS / 3 rows, in global order: time, then generation, then
+    creation order, the order each generation is stored in.
+
+    A k-way merge: the cut is the earliest m-th next time of any pending
+    generation, each generation gives the block every event up to it (ties
+    included), and a stable sort by time of their concatenation in
+    generation order orders the block.
+    """
+    times, lo = traj.times, [0] * len(traj.times)
+    while pending := [g for g, t in enumerate(times) if lo[g] < t.shape[0]]:
+        m = max(1, _BLOCK_CELLS // (3 * len(pending)))
+        cut = min(
+            (times[g][lo[g] + m - 1] for g in pending if lo[g] + m <= times[g].shape[0]),
+            default=np.inf,
+        )
+        hi = [int(np.searchsorted(t, cut, side="right")) for t in times]
+        t = np.concatenate([times[g][lo[g] : hi[g]] for g in pending])
+        gens = np.repeat(np.array(pending, dtype=np.int64) + 1, [hi[g] - lo[g] for g in pending])
+        anc = np.concatenate([traj.anc1[g][lo[g] : hi[g]] for g in pending])
+        order = np.argsort(t, kind="stable")
+        yield t[order], gens[order], anc[order]
+        lo = hi
 
 
 def write_trajectory_csv(path, traj: CmjTrajectory) -> None:
     """Events in global time order: time,generation,ancestor1."""
-    _write_csv(path, "time,generation,ancestor1", "%.17g,%d,%d", *traj.merged_order())
+    _write_csv(path, "time,generation,ancestor1", "%.17g,%d,%d", _merged_blocks(traj))
 
 
 def write_embedded_tree_csv(path, emb: EmbeddedTree) -> None:
     """One row per non-root vertex: vertex,parent,birth_time."""
     parent = emb.tree.parent
     vertex = np.arange(1, parent.shape[0])
-    _write_csv(path, "vertex,parent,birth_time", "%d,%d,%.17g", vertex, parent[1:], emb.birth_times)
+    columns = (vertex, parent[1:], emb.birth_times)
+    _write_csv(path, "vertex,parent,birth_time", "%d,%d,%.17g", [columns])
 
 
 def write_renewal_table_csv(path, table: RenewalTable) -> None:
     """One row per grid point: t,U,U2,...,Uk."""
     header = ",".join(["t", "U"] + [f"U{k}" for k in range(2, table.k_max + 1)])
     fmt = ",".join([_FLOAT_FMT] * (table.k_max + 1))
-    _write_csv(path, header, fmt, table.grid, *table.uk)
+    _write_csv(path, header, fmt, [(table.grid, *table.uk)])
 
 
 def index_label(entry) -> str:
@@ -104,14 +136,14 @@ def write_cov_csv(path, cov: CovMatrix) -> None:
     """Square layout with the index set as both header and row labels."""
     labels = [index_label(e) for e in cov.index]
     fmt = ",".join(["%s"] + [_FLOAT_FMT] * cov.dim)
-    _write_csv(path, ",".join(["index"] + labels), fmt, np.asarray(labels), *cov.matrix.T)
+    _write_csv(path, ",".join(["index"] + labels), fmt, [(np.asarray(labels), *cov.matrix.T)])
 
 
 def write_samples_csv(path, sample: GaussianGridSample) -> None:
     """One row per draw, columns labeled by the index set."""
     header = ",".join(index_label(e) for e in sample.index)
     fmt = ",".join([_FLOAT_FMT] * sample.samples.shape[1])
-    _write_csv(path, header, fmt, *sample.samples.T)
+    _write_csv(path, header, fmt, [tuple(sample.samples.T)])
 
 
 def canonical_json_bytes(obj) -> bytes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, FactorizationError
+from .errors import CapExceededError, FactorizationError, finite
 from .rng import RngStream
 
 _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
@@ -59,16 +59,10 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
         k, l, s, u = l, k, u, s
     if s == 0:
         return 0.0
-    try:
-        value = math.fsum(
-            math.comb(l - 1, j) / (k + j) * s ** (k + j) * (u - s) ** (l - 1 - j)
-            for j in range(l)
-        )
-    except OverflowError:  # float ** raises where float * gives inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"covariance of orders {k}, {l} at times {s}, {u} overflows a float")
-    return value
+    terms = (
+        math.comb(l - 1, j) / (k + j) * s ** (k + j) * (u - s) ** (l - 1 - j) for j in range(l)
+    )
+    return finite(lambda: math.fsum(terms), f"covariance of orders {k}, {l} at times {s}, {u}")
 
 
 def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
@@ -82,15 +76,13 @@ def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
         return 0.0
     from scipy.integrate import quad  # loads scipy.optimize: keep it off start-up
 
-    val, _ = quad(
-        lambda y: (s - y) ** (k - 1) * (u - y) ** (l - 1),
-        0.0,
-        top,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
+    def integrand(y):
+        return (s - y) ** (k - 1) * (u - y) ** (l - 1)
+
+    return finite(
+        lambda: float(quad(integrand, 0.0, top, epsabs=1e-12, epsrel=1e-12, limit=200)[0]),
+        f"covariance of orders {k}, {l} at times {s}, {u}",
     )
-    return float(val)
 
 
 def marginal_sd(k: int, s: float) -> float:
@@ -99,10 +91,7 @@ def marginal_sd(k: int, s: float) -> float:
         raise ValueError("order must be >= 1")
     if not 0 <= s < math.inf:
         raise ValueError("time must be finite and >= 0")
-    try:
-        return math.sqrt(s ** (2 * k - 1) / (2 * k - 1))
-    except OverflowError:  # float ** raises where float * gives inf
-        raise ValueError(f"the variance of R_{k}({s:g}) overflows a float") from None
+    return finite(lambda: math.sqrt(s ** (2 * k - 1) / (2 * k - 1)), f"Var R_{k}({s:g})")
 
 
 def build_cov_matrix(k_max: int, t_grid) -> CovMatrix:
@@ -157,5 +146,5 @@ def sample_limit(cov: CovMatrix, n_samples: int, rng: RngStream) -> GaussianGrid
             f"{n_samples} draws of dimension {cov.dim} exceed the cap {MAX_SAMPLE_CELLS}"
         )
     L, eps = _factor(cov.matrix)
-    z = rng.gen.standard_normal((n_samples, cov.dim))
+    z = rng.standard_normal((n_samples, cov.dim))
     return GaussianGridSample(cov.index, z @ L.T, eps)

@@ -112,7 +112,7 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
     # blockwise draws consume the stream exactly as one full-length draw
     for lo in range(1, n_plus_1, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, n_plus_1)
-        parent[lo:hi] = rng.gen.integers(0, np.arange(lo, hi))
+        parent[lo:hi] = rng.integers(0, np.arange(lo, hi))
     return RecursiveTree(parent)
 
 
@@ -136,7 +136,7 @@ def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.nd
         )
     if n_plus_1 < 2:
         return np.empty((n_batch, 0), dtype=np.int64)
-    return rng.gen.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))
+    return rng.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))
 
 
 def _level_masks(parents: np.ndarray, k_max: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, lorden_constant
-from .errors import CapExceededError, TableCoverageError
+from .errors import CapExceededError, TableCoverageError, finite
 
 # _volterra_u solves row by row in O(n^2): on 2 cores, 50k cells take 0.4 s,
 # 200k cells 4.0-4.2 s and 2**18 cells 7.4-8.0 s; 10**7 cells would take
@@ -96,14 +96,8 @@ def _leading_term(x, k: int, mu: float):
     Raises ValueError where the term, or a factor of it, leaves the double
     range.
     """
-    try:
-        with np.errstate(all="ignore"):
-            term = x**k / (math.factorial(k) * mu**k)
-    except (OverflowError, ZeroDivisionError):
-        term = math.inf
-    if not np.all(np.isfinite(term)):
-        raise ValueError(f"x**k / (k! mu**k) at k = {k}, mu = {mu:g} leaves the double range")
-    return term
+    what = f"x**k / (k! mu**k) at k = {k}, mu = {mu:g}"
+    return finite(lambda: x**k / (math.factorial(k) * mu**k), what)
 
 
 def _volterra_u(dist: IncrementDistribution, n_cells: int, h: float) -> np.ndarray:
@@ -217,13 +211,11 @@ def lorden_check(table: RenewalTable) -> tuple[float, float]:
 
 
 def uk_deviation_bound(table: RenewalTable, k: int) -> np.ndarray:
-    """Pointwise bound on |U_k(t) - t^k/(k! mu^k)| built from the band constant c."""
+    """Bound on |U_k(t) - t^k/(k! mu^k)| from the band constant c; ValueError if not finite."""
     t = table.grid
     mu, c = table.dist.mu, lorden_constant(table.dist)
-    total = np.zeros_like(t)
-    for i in range(k):
-        total += math.comb(k, i) * t**i * c ** (k - i) / (math.factorial(i) * mu**i)
-    return total
+    terms = (math.comb(k, i) * t**i * c ** (k - i) / (math.factorial(i) * mu**i) for i in range(k))
+    return finite(lambda: sum(terms, np.zeros_like(t)), f"the order-{k} deviation bound")
 
 
 def uk_bound_check(table: RenewalTable, k: int) -> float:
@@ -294,8 +286,12 @@ def yk3_exact(table: RenewalTable, k: int, t: float) -> float:
 
 
 def abs_normal_moment(p: float, variance: float) -> float:
-    """E|Z|^p for Z ~ normal(0, variance)."""
-    return variance ** (p / 2.0) * 2 ** (p / 2.0) * math.gamma((p + 1) / 2.0) / math.sqrt(math.pi)
+    """E|Z|^p for Z ~ normal(0, variance); ValueError past the double range."""
+    return finite(
+        lambda: variance ** (p / 2.0) * 2 ** (p / 2.0) * math.gamma((p + 1) / 2.0)
+        / math.sqrt(math.pi),
+        f"E|Z|^{p:g} at variance {variance:g}",
+    )
 
 
 def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> float:
@@ -310,7 +306,7 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
     for gamma(2,2) and uniform(0.5,1.5) at t >= 10, but off by 1.7e-4 for
     gamma(0.5,0.5) at t = 10 and 0.075 at t = 1. At small t the Gaussian
     prediction is only asymptotic as well. Raises ValueError when either
-    moment leaves the double range.
+    moment, or their ratio, leaves the double range.
     """
     if len(counts) == 0:
         raise ValueError("counts must be nonempty")
@@ -321,25 +317,24 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     u_t = t / dist.mu + (dist.sigma2 - dist.mu**2) / (2.0 * dist.mu**2)
-    with np.errstate(over="ignore"):
-        num = float(np.mean(np.abs(np.asarray(counts) - u_t) ** p))
-    try:
-        den = abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0)
-    except OverflowError:
-        den = math.inf
-    ratio = num / den if 0.0 < den < math.inf else math.inf
-    if not math.isfinite(ratio):
-        raise ValueError(f"the order-{p:g} moments at t = {t:g} leave the double range")
-    return ratio
+    what = f"the order-{p:g} moment ratio at t = {t:g}"
+    num = finite(lambda: float(np.mean(np.abs(np.asarray(counts) - u_t) ** p)), what)
+    den = finite(lambda: abs_normal_moment(p, dist.sigma2 / dist.mu**3) * t ** (p / 2.0), what)
+    return finite(lambda: num / den, what)
 
 
 def table_from_csv(path: str, dist: IncrementDistribution) -> RenewalTable:
-    """Rebuild a table from the t,U,U2,... CSV layout."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    data = np.atleast_2d(data)
+    """Rebuild a table from the t,U,U2,... CSV layout.
+
+    Raises ValueError unless the file holds two or more rows of at least
+    two finite numbers each (genfromtxt reads a non-numeric cell as NaN).
+    """
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError("table CSV must hold at least two grid points of t and U")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("table CSV cells must be finite numbers")
     grid = data[:, 0]
-    if grid.shape[0] < 2:
-        raise ValueError("table CSV must hold at least two grid points")
     steps = np.diff(grid)
     h = float(steps[0])
     if not np.allclose(steps, h, rtol=0, atol=1e-9 * max(1.0, h)):

@@ -1,9 +1,9 @@
 """Deterministic multi-stream random number generation.
 
-A stream is identified by the pair (master_seed, stream_id). The underlying
-generator is PCG64 keyed by a 64-bit avalanche mix of the pair, so replicate
-r can always be handed stream_id r and will reproduce the same draws no
-matter how work is scheduled or how many workers run.
+A stream is a numpy Generator identified by the pair (master_seed,
+stream_id): its PCG64 is keyed by a 64-bit avalanche mix of the pair, so
+replicate r can always be handed stream_id r and will reproduce the same
+draws no matter how work is scheduled or how many workers run.
 """
 from __future__ import annotations
 
@@ -34,19 +34,12 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-class RngStream:
-    """One independent, reproducible stream of randomness.
+class RngStream(np.random.Generator):
+    """One independent, reproducible stream of randomness: a numpy Generator.
 
     Two instances built from equal (master_seed, stream_id) produce
     byte-identical draw sequences.
     """
 
-    __slots__ = ("master_seed", "stream_id", "gen")
-
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
-        self.gen = np.random.Generator(np.random.PCG64(mix64(master_seed, stream_id)))
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
+        super().__init__(np.random.PCG64(mix64(master_seed, stream_id)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import finite
 from .gaussian_limit import build_cov_matrix, marginal_sd
 from .renewal import _leading_term
 
@@ -99,13 +100,10 @@ def normalize_cmj(
         raise ValueError("grid fraction s must be finite and >= 0")
     y = np.asarray(counts, dtype=float)
     center = _leading_term(s * t, k, mu)
-    try:
-        denom = math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1))
-        scale = math.factorial(k - 1) / denom
-    except (OverflowError, ZeroDivisionError):
-        scale = 0.0
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"the order-{k} scale at t = {t:g}, mu = {mu:g} leaves the double range")
+    what = f"the order-{k} scale at t = {t:g}, mu = {mu:g}"
+    # an infinite denominator would give scale 0, so it is refused by itself
+    denom = finite(lambda: math.sqrt(sigma2 * mu ** (-2 * k - 1) * t ** (2 * k - 1)), what)
+    scale = finite(lambda: math.factorial(k - 1) / denom, what)
     return (y - center) * scale
 
 

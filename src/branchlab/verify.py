@@ -147,7 +147,7 @@ def _probe_task(rng, dist, horizon, n):
             float(counts[1]),
             float(levels[0]),
             float(levels[1]),
-            rng.gen.random(),
+            rng.random(),
         ]
     )
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchlab import cmj
+from branchlab import cmj, fileio
 from branchlab.cli import main
 from branchlab.cmj import (
     MAX_EMBEDDED_BIRTHS,
@@ -26,6 +26,7 @@ from branchlab.cmj import (
     simulate_embedded_rrt,
 )
 from branchlab.distributions import make_distribution
+from branchlab.fileio import write_trajectory_csv
 from branchlab.recursive_tree import depths_from_parents, generate_rrt
 from branchlab.renewal import build_renewal_table
 from branchlab.rng import RngStream
@@ -87,9 +88,30 @@ def test_generation_times_sorted_and_bounded():
             assert t.size == 0 or (t[0] > 0 and t[-1] <= 8.0)
 
 
-def test_event_stream_invariants():
+def _merged_reference(traj):
+    """The global event order by one sort on all three keys: time, then
+    generation, then creation order."""
+    t = np.concatenate(traj.times)
+    gens = np.repeat(np.arange(1, traj.k_max + 1), [g.shape[0] for g in traj.times])
+    order = np.lexsort((np.arange(t.shape[0]), gens, t))
+    return t[order], gens[order], np.concatenate(traj.anc1)[order]
+
+
+def _reference_csv(merged) -> bytes:
+    rows = "".join("%.17g,%d,%d\n" % row for row in zip(*merged))
+    return ("time,generation,ancestor1\n" + rows).encode()
+
+
+def _written(tmp_path, traj) -> bytes:
+    write_trajectory_csv(tmp_path / "traj.csv", traj)
+    return (tmp_path / "traj.csv").read_bytes()
+
+
+def test_event_stream_invariants(tmp_path):
     traj = simulate_cmj(EXP1, 8.0, 3, RngStream(9, 4))
-    merged_t, gens, _ = traj.merged_order()
+    merged = _merged_reference(traj)
+    assert _written(tmp_path, traj) == _reference_csv(merged)
+    merged_t, gens, _ = merged
     assert np.all(np.diff(merged_t) >= 0)
     n1 = traj.times[0].shape[0]
     assert np.array_equal(traj.anc1[0], np.arange(1, n1 + 1))
@@ -104,15 +126,14 @@ def test_event_stream_invariants():
 
 
 @pytest.mark.parametrize("law", [DET1, GAMMA22], ids=lambda d: d.descriptor)
-def test_merged_order_is_time_then_generation_then_creation(law):
-    # det(1) births tie across generations; the reference sorts on all three keys
+def test_merged_order_is_time_then_generation_then_creation(law, tmp_path, monkeypatch):
+    # det(1) births tie across generations, so small blocks cut through ties
     traj = simulate_cmj(law, 9.5, 4, RngStream(3, 0))
-    t = np.concatenate(traj.times)
-    gens = np.repeat(np.arange(1, 5), [g.shape[0] for g in traj.times])
-    order = np.lexsort((np.arange(t.shape[0]), gens, t))
-    expected = (t[order], gens[order], np.concatenate(traj.anc1)[order])
-    for got, want in zip(traj.merged_order(), expected):
-        assert got.tobytes() == want.tobytes()
+    want = _reference_csv(_merged_reference(traj))
+    assert _written(tmp_path, traj) == want
+    for cells in (3, 12, 30):
+        monkeypatch.setattr(fileio, "_BLOCK_CELLS", cells)
+        assert _written(tmp_path, traj) == want
 
 
 def test_count_generation_range_errors():
@@ -239,7 +260,7 @@ def test_renewal_count_samples_past_the_event_cap_are_refused_before_allocating(
             renewal_count_samples(EXP1, 0.5, n_samples, rng)
     ref = RngStream(4, 2)
     renewal_count_samples(EXP1, 0.5, 64, ref)
-    assert rng.gen.random() == ref.gen.random()  # the refusals drew nothing
+    assert rng.random() == ref.random()  # the refusals drew nothing
 
 
 def _flat_stream_sums(dist, rng, budgets):
@@ -405,7 +426,7 @@ def test_embedded_parent_matrix_rows_are_the_heap_trees(n, n_trees):
     assert batch.dtype == np.int64
     assert batch.tobytes() == np.stack(heap).tobytes()
     # both consumed the same draws
-    assert batch_rng.gen.random() == heap_rng.gen.random()
+    assert batch_rng.random() == heap_rng.random()
 
 
 def test_embedded_profile_matches_uniform_attachment():

@@ -161,7 +161,7 @@ def test_gamma_2_draws_match_generator_gamma_in_law():
     # a sum of two exponentials against Generator.gamma, at the registry's alpha = 0.001
     d = make_distribution("gamma(2,2)")
     a = d.sample(RngStream(21, 0), 200_000)
-    b = RngStream(21, 1).gen.gamma(2.0, 0.5, 200_000)
+    b = RngStream(21, 1).gamma(2.0, 0.5, 200_000)
     report = ks_two_sample(a, b)
     assert report.statistic < _TWO_SAMPLE_CRIT * math.sqrt(2.0 / 200_000)
 
@@ -170,17 +170,17 @@ def test_gamma_2_draws_match_generator_gamma_in_law():
 def test_other_gamma_shapes_draw_through_generator_gamma(text):
     d = make_distribution(text)
     shape, rate = d.params
-    want = RngStream(5, 0).gen.gamma(shape, 1.0 / rate, 1000)
+    want = RngStream(5, 0).gamma(shape, 1.0 / rate, 1000)
     assert d.sample(RngStream(5, 0), 1000).tobytes() == want.tobytes()
 
 
 def test_det_sampling_is_constant_and_entropy_free():
     rng = RngStream(3, 0)
-    before = RngStream(3, 0).gen.random()
+    before = RngStream(3, 0).random()
     d = make_distribution("det(2)")
     x = d.sample(rng, 100)
     assert np.all(x == 2.0)
-    assert rng.gen.random() == before
+    assert rng.random() == before
 
 
 def test_lorden_constants():

@@ -92,7 +92,11 @@ def test_trajectory_csv_matches_row_by_row_text(tmp_path):
     traj = simulate_cmj(make_distribution("gamma(2,2)"), 30.0, 3, RngStream(12, 0))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
-    times, gens, anc = traj.merged_order()
+    # the global order by one sort on time, then generation, then creation order
+    times = np.concatenate(traj.times)
+    gens = np.repeat(np.arange(1, 4), [t.shape[0] for t in traj.times])
+    order = np.lexsort((np.arange(times.shape[0]), gens, times))
+    times, gens, anc = times[order], gens[order], np.concatenate(traj.anc1)[order]
     rows = [("time", "generation", "ancestor1")]
     rows.extend((times[i], gens[i], anc[i]) for i in range(times.shape[0]))
     assert times.shape[0] > 100
@@ -350,7 +354,7 @@ def test_writer_failing_mid_stream_keeps_the_old_target(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "_BLOCK_CELLS", 2)
     column = np.array([1, 2, 3, 4, 5, "not a number"], dtype=object)
     with pytest.raises(TypeError):
-        fileio._write_csv(target, "x", "%d", column)
+        fileio._write_csv(target, "x", "%d", [(column,)])
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -390,3 +394,39 @@ def test_tree_csv_streams_in_bounded_memory(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert int(out.stdout.split()[-1]) < 150
+
+
+_CMJ_PROBE = """
+import sys
+from branchlab.cli import main
+from branchlab.cmj import simulate_cmj
+from branchlab.distributions import make_distribution
+from branchlab.rng import RngStream
+if sys.argv[1] == "simulate":
+    simulate_cmj(make_distribution("exp(1)"), 13.0, 30, RngStream(10, 0))
+else:
+    argv = ["cmj", "--horizon", "13", "--k-max", "30", "--seed", "10", "--output-dir"]
+    assert main(argv + [sys.argv[2]]) == 0
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_trajectory_csv_streams_in_bounded_memory(tmp_path):
+    # 1.6e6 events: the run alone peaks near 90 MB, and the cmj command writing
+    # them in merged time blocks as well about 1 MB more; sorting them all at
+    # once, while the run was still held, took 150 MB
+    peaks = {}
+    for mode in ("simulate", "cmj"):
+        out = subprocess.run(
+            [sys.executable, "-c", _CMJ_PROBE, mode, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        peaks[mode] = int(out.stdout.split()[-1])
+    assert [p.name for p in tmp_path.iterdir()] == ["cmj_exp_T13_seed10.csv"]
+    assert peaks["cmj"] < peaks["simulate"] + 10

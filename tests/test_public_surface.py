@@ -1,8 +1,8 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads.
 
 Also: public entry points refuse out-of-range times, powers and samples,
-and start-up and the cmj and stat_tests modules load only the modules they
-need.
+and start-up and the cmj, stat_tests and errors modules load only the
+modules they need.
 """
 import ast
 import json
@@ -20,13 +20,15 @@ import branchlab
 import branchlab.cli  # noqa: F401  (loads every branchlab module, as the bench does)
 from branchlab.cmj import count_generation, simulate_cmj
 from branchlab.distributions import IncrementDistribution, make_distribution
-from branchlab.gaussian_limit import marginal_sd
+from branchlab.gaussian_limit import cov_rkl_integral, marginal_sd
 from branchlab.renewal import (
+    abs_normal_moment,
     build_renewal_table,
     moment_ratio,
     renewal_function_grid,
     second_moment_rhs,
     uk_bound_check,
+    uk_deviation_bound,
     yk3_exact,
 )
 from branchlab.rng import RngStream
@@ -89,11 +91,18 @@ _DEEP_TABLE = build_renewal_table(_EXP1, 1.0, h=0.1, k_max=200)  # 200! overflow
         pytest.param(normalize_cmj, (_COUNTS, 2.0, 171, 1.0, 1.0), id="normalize_cmj-k=171"),
         pytest.param(normalize_cmj, (_COUNTS, 1e200, 2, 1.0, 1.0), id="normalize_cmj-t=1e200"),
         pytest.param(normalize_cmj, (_COUNTS, 2.0, 2, 1e-200, 1.0), id="normalize_cmj-mu=1e-200"),
+        # an infinite denominator must not pass as scale 0
+        pytest.param(
+            normalize_cmj, (_COUNTS, 2.0, 1, 1e-10, 1e308), id="normalize_cmj-sigma2=1e308"
+        ),
         pytest.param(
             functional_grid_test, (np.ones((8, 200, 1)), (1.0,), 2.0), id="grid_test-k_max=200"
         ),
         pytest.param(yk3_exact, (_DEEP_TABLE, 200, 1.0), id="yk3_exact-k=200"),
         pytest.param(uk_bound_check, (_DEEP_TABLE, 200), id="uk_bound_check-k=200"),
+        pytest.param(uk_deviation_bound, (_DEEP_TABLE, 200), id="uk_deviation_bound-k=200"),
+        pytest.param(cov_rkl_integral, (200, 200, 10.0, 10.0), id="cov_rkl_integral-k=l=200"),
+        pytest.param(abs_normal_moment, (400.0, 1.0), id="abs_normal_moment-p=400"),
         pytest.param(_TABLE.interp, (1, math.nan), id="interp-t=nan"),
         pytest.param(_TABLE.integral, (1, math.nan), id="integral-t=nan"),
         pytest.param(second_moment_rhs, (_TABLE, 2, math.nan), id="second_moment_rhs-t=nan"),
@@ -180,3 +189,9 @@ def test_stat_tests_imports_no_simulator():
     loaded = _modules_loaded_by("branchlab.stat_tests")
     for simulator in ("branchlab.cmj", "branchlab.recursive_tree", "branchlab.runner"):
         assert simulator not in loaded
+
+
+def test_errors_is_a_leaf_module():
+    # every module gates its closed forms through errors.finite, so errors
+    # must import no other branchlab module or it would close an import cycle
+    assert _modules_loaded_by("branchlab.errors") == ["branchlab.errors"]

@@ -141,7 +141,7 @@ def test_depths_peak_memory_stays_below_twice_the_input():
 def test_blockwise_parent_draws_equal_one_full_draw():
     V = 2 * _DRAW_BLOCK + 12_345
     tree = generate_rrt(V, RngStream(7, 0))
-    full = RngStream(7, 0).gen.integers(0, np.arange(1, V))
+    full = RngStream(7, 0).integers(0, np.arange(1, V))
     assert tree.parent[0] == -1
     assert np.array_equal(tree.parent[1:], full)
 
@@ -168,8 +168,8 @@ def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch
     with pytest.raises(ValueError, match="n_batch"):
         generate_parent_matrix(-1, 11, rng)
     ref = RngStream(5, 1)
-    ref.gen.integers(0, np.arange(1, 11), size=(10, 10))
-    assert rng.gen.random() == ref.gen.random()  # the refusals drew nothing
+    ref.integers(0, np.arange(1, 11), size=(10, 10))
+    assert rng.random() == ref.random()  # the refusals drew nothing
 
 
 def test_level_counts_batch_past_the_cap_is_refused_before_allocating(monkeypatch):

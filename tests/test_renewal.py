@@ -238,6 +238,26 @@ def test_table_from_csv_validation(tmp_path):
         table_from_csv(str(bad), EXP1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("t,U\n0,0\n0.1,nan\n", id="nan-cell"),
+        pytest.param("t,U\n0,0\n0.1,inf\n", id="inf-cell"),
+        pytest.param("t,U\n0,0\n0.1,abc\n", id="non-numeric-cell"),
+        pytest.param(
+            "t,U\n",
+            id="header-only",
+            marks=pytest.mark.filterwarnings("ignore:genfromtxt. Empty input file"),
+        ),
+    ],
+)
+def test_table_from_csv_refuses_what_the_writer_never_writes(tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        table_from_csv(str(bad), EXP1)
+
+
 def test_higher_renewal_grid_is_idempotent(exp_table):
     again = higher_renewal_grid(exp_table, 2)
     assert again is exp_table

@@ -28,20 +28,22 @@ def test_mix64_stays_in_64_bits():
 
 
 def test_stream_reproducible():
-    a = RngStream(7, 3).gen.random(16)
-    b = RngStream(7, 3).gen.random(16)
+    a = RngStream(7, 3).random(16)
+    b = RngStream(7, 3).random(16)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_by_id_and_seed():
-    base = RngStream(7, 0).gen.random(16)
-    other_stream = RngStream(7, 1).gen.random(16)
-    other_seed = RngStream(8, 0).gen.random(16)
+    base = RngStream(7, 0).random(16)
+    other_stream = RngStream(7, 1).random(16)
+    other_seed = RngStream(8, 0).random(16)
     assert not np.array_equal(base, other_stream)
     assert not np.array_equal(base, other_seed)
 
 
-def test_stream_records_identity():
+def test_stream_is_the_keyed_generator():
     s = RngStream(9, 4)
-    assert s.master_seed == 9
-    assert s.stream_id == 4
+    assert isinstance(s, np.random.Generator)
+    want = np.random.Generator(np.random.PCG64(mix64(9, 4)))
+    assert s.random(16).tobytes() == want.random(16).tobytes()
+    assert s.standard_normal(16).tobytes() == want.standard_normal(16).tobytes()

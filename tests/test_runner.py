@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from branchlab import runner, verify
+from branchlab.rng import RngStream
 
 
 def _task(rng):
-    return np.array([rng.stream_id, rng.gen.random()])
+    return rng.random(2)
+
+
+def _in_replicate_order(rows):
+    # row r holds the first draws of replicate r's stream
+    want = np.stack([RngStream(11, r).random(2) for r in range(rows.shape[0])])
+    return rows.tobytes() == want.tobytes()
 
 
 class _InProcessPool:
@@ -44,6 +51,7 @@ def test_pool_size_is_bounded(monkeypatch, workers, n_reps, cpus, want):
     assert _InProcessPool.sizes == [want]
     serial = runner.map_replicated(_task, n_reps, 11)
     assert pooled.tobytes() == serial.tobytes()
+    assert _in_replicate_order(serial)
 
 
 def test_argument_validation():
@@ -103,6 +111,7 @@ def test_shared_pool_serves_map_replicated(monkeypatch):
         second = runner.map_replicated(_task, 40, 11, workers=8)
     assert _InProcessPool.sizes == [3]
     assert first.tobytes() == second.tobytes() == serial.tobytes()
+    assert _in_replicate_order(serial)
     with runner.shared_pool(1):
         runner.map_replicated(_task, 40, 11, workers=2)
     assert _InProcessPool.sizes == [3, 2]

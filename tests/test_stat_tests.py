@@ -32,7 +32,7 @@ def test_one_sample_hand_value():
 
 def test_one_sample_null_behaves():
     for seed in range(4):
-        draws = RngStream(seed, 0).gen.standard_normal(2000)
+        draws = RngStream(seed, 0).standard_normal(2000)
         report = ks_one_sample(draws, ndtr)
         assert report.p_value > 0.001
 
@@ -44,20 +44,20 @@ def test_one_sample_detects_constant():
 
 
 def test_one_sample_normal_descriptor_scaling():
-    draws = 3.0 + 0.5 * RngStream(7, 0).gen.standard_normal(3000)
+    draws = 3.0 + 0.5 * RngStream(7, 0).standard_normal(3000)
     assert ks_one_sample(draws, lambda x: ndtr((x - 3.0) / 0.5)).p_value > 0.001
     assert ks_one_sample(draws, ndtr).p_value < 1e-9
 
 
 def test_two_sample_identical():
-    a = RngStream(1, 0).gen.standard_normal(400)
+    a = RngStream(1, 0).standard_normal(400)
     report = ks_two_sample(a, a.copy())
     assert report.statistic == 0.0
     assert report.n_eff == pytest.approx(200.0)
 
 
 def test_two_sample_detects_shift():
-    gen = RngStream(2, 0).gen
+    gen = RngStream(2, 0)
     a = gen.standard_normal(5000)
     b = gen.standard_normal(5000) + 0.5
     report = ks_two_sample(a, b)
@@ -95,7 +95,7 @@ def test_cmj_normalization_center_and_scale():
 
 
 def test_normalization_preserves_order():
-    counts = RngStream(3, 0).gen.integers(0, 40, size=60)
+    counts = RngStream(3, 0).integers(0, 40, size=60)
     z = normalize_cmj(counts, math.log(120), 2, 1.0, 1.0)
     assert np.array_equal(np.argsort(z, kind="stable"), np.argsort(counts, kind="stable"))
 
@@ -123,7 +123,7 @@ def test_normalization_validation():
 
 
 def test_empirical_cov_basics():
-    gen = RngStream(9, 0).gen
+    gen = RngStream(9, 0)
     col = gen.standard_normal(4000)
     paired = np.column_stack([col, col])
     cov, se = empirical_cov(paired)

@@ -6,8 +6,9 @@ each cell's mass at its conditional mean, and reads U there by linear
 interpolation. That keeps the recursion explicit and monotone, is exact to
 rounding for exponential increments, and reproduces floor(t/d) exactly for
 the lattice law det(d) because atoms land on grid nodes (the grid step must
-divide d). Higher-order counts U_k come from Stieltjes convolution against
-the increments of U.
+divide d). Every integral against dU is one grid Stieltjes convolution
+(_stieltjes of a row read at the cells by _at_cells): the higher-order
+counts U_k = U_{k-1} * dU and the shot-noise second moment alike.
 """
 from __future__ import annotations
 
@@ -163,24 +164,36 @@ def renewal_function_grid(
     return RenewalTable(dist, h, U[np.newaxis, :].copy())
 
 
-def _convolve_next(prev: np.ndarray, dU: np.ndarray, lattice: bool) -> np.ndarray:
+def _at_cells(row: np.ndarray, lattice: bool) -> np.ndarray:
+    """A grid row at each cell's midpoint, or its left node for a lattice law.
+
+    The one place the lattice rule lives: atoms sit on the right nodes, so
+    t - y lands on a left node.
+    """
+    return row[:-1] if lattice else 0.5 * (row[:-1] + row[1:])
+
+
+def _stieltjes(kernel: np.ndarray, dU: np.ndarray) -> np.ndarray:
+    """Grid values of int f(t - y) dU(y), with f at the cells given by kernel.
+
+    Node i holds sum_{j < i} kernel[i - 1 - j] * dU[j]; node 0 holds 0.
+    """
     n = dU.shape[0]
-    kernel = prev[:n] if lattice else 0.5 * (prev[:-1] + prev[1:])
     size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2n: no wrap-around
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1:] = np.fft.irfft(np.fft.rfft(kernel, size) * np.fft.rfft(dU, size), size)[:n]
-    # FFT round-off can dip a row by ~1e-15 of its size; U_k is
-    # nondecreasing, so the running maximum removes only round-off
+    # FFT round-off can dip a row by ~1e-15 of its size; each kernel here is
+    # nonnegative and nondecreasing, so the running maximum removes only that
     np.maximum.accumulate(out, out=out)
     return out
 
 
 def higher_renewal_grid(table: RenewalTable, k_max: int) -> RenewalTable:
-    """Extend a table with U_2..U_{k_max} by grid Stieltjes convolution.
+    """Extend a table with U_2..U_{k_max}: U_k = U_{k-1} * dU on the grid.
 
-    Nonlattice laws evaluate the lower-order function at cell midpoints;
-    lattice laws evaluate at the right endpoint where the atoms sit.
+    Each order is one _stieltjes convolution of U_{k-1}, read at the cells
+    by _at_cells, against the increments of U.
     """
     _check_orders(k_max, table.n_cells)
     if k_max <= table.k_max:
@@ -189,7 +202,7 @@ def higher_renewal_grid(table: RenewalTable, k_max: int) -> RenewalTable:
     dU = np.diff(table.uk[0])
     rows = [table.uk[i] for i in range(table.k_max)]
     for _ in range(table.k_max + 1, k_max + 1):
-        rows.append(_convolve_next(rows[-1], dU, lattice))
+        rows.append(_stieltjes(_at_cells(rows[-1], lattice), dU))
     return RenewalTable(table.dist, table.h, np.vstack(rows))
 
 
@@ -230,49 +243,26 @@ def uk_bound_check(table: RenewalTable, k: int) -> float:
     return float(slack.max())
 
 
-def stieltjes_integral(table: RenewalTable, integrand, t: float) -> float:
-    """Integral of integrand(t - y) against dU(y) over [0, t] on the grid.
-
-    integrand must accept a vector of nonnegative times. Nonlattice laws
-    use cell-midpoint evaluation, lattice laws the right endpoint.
-    """
-    if t < 0:
-        return 0.0
-    table._check_covers(t)
-    h = table.h
-    U = table.uk[0]
-    i = min(int(math.floor(t / h + 1e-12)), table.n_cells)
-    lattice = table.dist.lattice_span > 0
-    total = 0.0
-    if i >= 1:
-        j = np.arange(1, i + 1)
-        y = j * h if lattice else (j - 0.5) * h
-        masses = np.diff(U[: i + 1])
-        total += float(np.dot(np.asarray(integrand(t - y), dtype=float), masses))
-    rem = t - i * h
-    if rem > 0:
-        mass = float(table.interp(1, t)) - float(U[i])
-        if mass != 0.0:
-            y_mid = i * h + (rem if lattice else 0.5 * rem)
-            total += float(integrand(np.array([t - y_mid]))[0]) * mass
-    return total
-
-
 def second_moment_rhs(table: RenewalTable, k: int, t: float) -> float:
     """Closed-form second moment of the shot-noise sum over first-generation
     birth times: 2 int U_{k-1}(t-y) U_k(t-y) dU(y) + int U_{k-1}(t-y)^2 dU(y).
+
+    The integrand, read at the cells as U_k is, goes through the same grid
+    convolution against dU as higher_renewal_grid; a t between grid nodes
+    is linearly interpolated from its two neighbours.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if table.k_max < k:
         raise TableCoverageError(f"table must hold orders up to {k}")
-
-    def integrand(x):
-        a = table.interp(k - 1, x)
-        b = table.interp(k, x)
-        return 2.0 * a * b + a * a
-
-    return stieltjes_integral(table, integrand, t)
+    if t < 0:
+        return 0.0
+    table._check_covers(t)
+    lattice = table.dist.lattice_span > 0
+    a = _at_cells(table.uk[k - 2], lattice)
+    b = _at_cells(table.uk[k - 1], lattice)
+    row = _stieltjes(2.0 * a * b + a * a, np.diff(table.uk[0]))
+    return float(np.interp(t, table.grid, row))
 
 
 def yk3_exact(table: RenewalTable, k: int, t: float) -> float:

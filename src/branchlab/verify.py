@@ -32,12 +32,10 @@ from .cmj import (
 from .distributions import make_distribution
 from .errors import BranchLabError
 from .fileio import canonical_json_bytes
-from .gaussian_limit import build_cov_matrix, cov_rkl, cov_rkl_integral, sample_limit
+from .gaussian_limit import _factor, build_cov_matrix, cov_rkl, cov_rkl_integral, sample_limit
 from .recursive_tree import (
     exact_profile_distribution,
     generate_parent_matrix,
-    generate_rrt,
-    grow_and_record,
     level1_moments,
     level_counts_batch,
 )
@@ -133,14 +131,13 @@ def _small_trees_task(rng, n_trees):
     return np.hstack(levels).astype(np.int8)
 
 
-def _tree_grid_task(rng, n_base, s_grid, k_max):
-    """Levels 1..k_max of one tree at sizes floor(n_base**s), one column per s in s_grid."""
-    return grow_and_record(n_base, s_grid, k_max, rng).values.T
+def _limit_task(rng, cov, n_samples):
+    return sample_limit(cov, n_samples, rng).samples
 
 
 def _probe_task(rng, dist, horizon, n):
     counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
-    levels = level_counts_batch(generate_rrt(n + 1, rng).parent[None, 1:], 2)[0]
+    levels = _tree_batch_task(rng, n + 1, 2, 1)[0]
     return np.array(
         [
             float(counts[0]),
@@ -208,10 +205,10 @@ def _test_embedding_ks(cfg, seed):
 def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, mu=1.0, sigma2=1.0):
     """KS entries for the levels 1 and 2 marginals at the full horizon or size.
 
-    task draws one replicate's (2, 1) counts: levels 1 and 2 at fraction 1.
+    task draws one replicate's levels 1 and 2 at fraction 1, as (2, 1) or (1, 2) counts.
     """
     m = 400 if cfg.quick else 2000
-    raw = map_replicated(task, m, seed, workers=cfg.workers)
+    raw = map_replicated(task, m, seed, workers=cfg.workers).reshape(m, 2, 1)
     report = functional_grid_test(raw, (1.0,), t, mu, sigma2)
     return [
         _ks_entry(f"{label}.k{k}", rep, budget, gating, {**details, "n_reps": m})
@@ -330,9 +327,9 @@ def _test_level1_moments(cfg, seed):
 def _test_limit_sampler_cov(cfg, seed):
     m = 5000 if cfg.quick else 20_000
     cov = build_cov_matrix(3, (0.5, 1.0))
-    task = partial(sample_limit, cov, 1000)
-    draws = map_replicated(task, m // 1000, seed, workers=cfg.workers)
-    emp, se = empirical_cov(np.concatenate([d.samples for d in draws]))
+    task = partial(_limit_task, cov=cov, n_samples=1000)
+    draws = map_replicated(task, m // 1000, seed, workers=cfg.workers).reshape(m, cov.dim)
+    emp, se = empirical_cov(draws)
     return [
         _entry(
             "limit_sampler_cov.dev_se",
@@ -340,7 +337,7 @@ def _test_limit_sampler_cov(cfg, seed):
             4.0,
             True,
             n_eff=m,
-            details={"dim": len(cov.index), "jitter": draws[0].jitter},
+            details={"dim": cov.dim, "jitter": _factor(cov.matrix)[1]},
         )
     ]
 
@@ -413,8 +410,9 @@ def _test_second_moment_identity(cfg, seed):
     ]
 
 
-def _moment_ratio_entries(cfg, seed, label, descriptor, t, halfwidth_full, halfwidth_quick):
+def _moment_ratio_entries(descriptor, t, halfwidth_full, halfwidth_quick, cfg, seed):
     dist = make_distribution(descriptor)
+    label = f"moment_ratio_{dist.kind}"
     m = 5000 if cfg.quick else 20_000
     half = halfwidth_quick if cfg.quick else halfwidth_full
     task = partial(renewal_count_samples, dist, t, 1000)
@@ -430,14 +428,6 @@ def _moment_ratio_entries(cfg, seed, label, descriptor, t, halfwidth_full, halfw
             details={"ratio": ratio, "t": t, "p": 2.0, "law": descriptor},
         )
     ]
-
-
-def _test_moment_ratio_exp(cfg, seed):
-    return _moment_ratio_entries(cfg, seed, "moment_ratio_exp", "exp(1)", 200.0, 0.05, 0.10)
-
-
-def _test_moment_ratio_gamma(cfg, seed):
-    return _moment_ratio_entries(cfg, seed, "moment_ratio_gamma", "gamma(2,2)", 500.0, 0.07, 0.12)
 
 
 def _test_worker_determinism(cfg, seed):
@@ -461,7 +451,7 @@ def _test_worker_determinism(cfg, seed):
 def _test_tree_profile_direct(cfg, seed):
     n_plus_1 = 100_001
     details = {"n": n_plus_1 - 1, "informational": True}
-    task = partial(_tree_grid_task, n_base=n_plus_1, s_grid=(1.0,), k_max=2)
+    task = partial(_tree_batch_task, n_plus_1=n_plus_1, k_hi=2, n_trees=1)
     # a tree of n + 1 vertices is the exp(1) process at time ln n
     t = math.log(n_plus_1 - 1)
     return _unit_fraction_entries(cfg, seed, "tree_profile_direct", 0.15, False, details, task, t)
@@ -479,8 +469,8 @@ _REGISTRY = (
     ("renewal_exp", _test_renewal_exp),
     ("renewal_gamma", _test_renewal_gamma),
     ("second_moment_identity", _test_second_moment_identity),
-    ("moment_ratio_exp", _test_moment_ratio_exp),
-    ("moment_ratio_gamma", _test_moment_ratio_gamma),
+    ("moment_ratio_exp", partial(_moment_ratio_entries, "exp(1)", 200.0, 0.05, 0.10)),
+    ("moment_ratio_gamma", partial(_moment_ratio_entries, "gamma(2,2)", 500.0, 0.07, 0.12)),
     ("worker_determinism", _test_worker_determinism),
     ("tree_profile_direct", _test_tree_profile_direct),
 )

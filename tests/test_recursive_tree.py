@@ -188,6 +188,13 @@ def test_tree_batch_task_level1_counts_root_children():
     assert np.array_equal(got[:, 0], np.count_nonzero(parents == 0, axis=1))
 
 
+@pytest.mark.parametrize("n_plus_1", [1, 2, _DRAW_BLOCK + 3])
+def test_one_row_parent_matrix_draws_the_tree(n_plus_1):
+    # verify draws its single trees as one-row batches: same stream, same tree
+    row = generate_parent_matrix(1, n_plus_1, RngStream(13, 1))[0]
+    assert np.array_equal(row, generate_rrt(n_plus_1, RngStream(13, 1)).parent[1:])
+
+
 def test_exact_distribution_three_vertices():
     dist = exact_profile_distribution(3)
     assert dist == {(2, 0): pytest.approx(0.5), (1, 1): pytest.approx(0.5)}

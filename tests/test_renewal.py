@@ -13,7 +13,6 @@ from branchlab.renewal import (
     moment_ratio,
     renewal_function_grid,
     second_moment_rhs,
-    stieltjes_integral,
     table_from_csv,
     uk_bound_check,
     uk_deviation_bound,
@@ -112,22 +111,68 @@ def test_interp_and_integral(exp_table):
         exp_table.interp(4, 1.0)
 
 
-def test_stieltjes_integral_exp(exp_table):
-    # dU = dy: unit integrand recovers U, ramp integrand recovers U_2
-    assert stieltjes_integral(exp_table, lambda x: np.ones_like(x), 7.0) == pytest.approx(
-        7.0, abs=1e-6
-    )
-    ramp = stieltjes_integral(exp_table, lambda x: x, 7.0)
-    assert ramp == pytest.approx(49.0 / 2.0, abs=1e-3)
+def _stieltjes_integral(table, integrand, t):
+    """Reference: int integrand(t - y) dU(y) over [0, t], one grid cell at a time.
+
+    Nonlattice laws read each cell's mass at its midpoint, lattice laws at
+    its right end; a partial last cell takes the interpolated mass of U.
+    """
+    if t < 0:
+        return 0.0
+    table._check_covers(t)
+    h = table.h
+    U = table.uk[0]
+    i = min(int(math.floor(t / h + 1e-12)), table.n_cells)
+    lattice = table.dist.lattice_span > 0
+    total = 0.0
+    if i >= 1:
+        j = np.arange(1, i + 1)
+        y = j * h if lattice else (j - 0.5) * h
+        masses = np.diff(U[: i + 1])
+        total += float(np.dot(np.asarray(integrand(t - y), dtype=float), masses))
+    rem = t - i * h
+    if rem > 0:
+        mass = float(table.interp(1, t)) - float(U[i])
+        if mass != 0.0:
+            y_mid = i * h + (rem if lattice else 0.5 * rem)
+            total += float(integrand(np.array([t - y_mid]))[0]) * mass
+    return total
 
 
-def test_stieltjes_integral_det():
-    table = renewal_function_grid(DET1, 5.0, h=0.25)
-    # atoms at 1, 2, 3 inside [0, 3.5]
-    total = stieltjes_integral(table, lambda x: np.ones_like(x), 3.5)
-    assert total == pytest.approx(3.0, abs=1e-9)
-    ramp = stieltjes_integral(table, lambda x: x, 3.5)
-    assert ramp == pytest.approx(2.5 + 1.5 + 0.5, abs=1e-9)
+def _second_moment_reference(table, k, t):
+    def integrand(x):
+        a = table.interp(k - 1, x)
+        b = table.interp(k, x)
+        return 2.0 * a * b + a * a
+
+    return _stieltjes_integral(table, integrand, t)
+
+
+@pytest.mark.parametrize(
+    "law, h", [(EXP1, 0.01), (GAMMA22, 0.01), (DET1, 0.25)], ids=["exp", "gamma", "det"]
+)
+def test_second_moment_matches_the_cellwise_reference_on_grid(law, h):
+    table = build_renewal_table(law, 20.0, h=h, k_max=3)
+    for k in (2, 3):
+        row_max = second_moment_rhs(table, k, table.grid[-1])  # the row is nondecreasing
+        for i in (0, 1, 2, 7, 40, table.n_cells // 2, table.n_cells):
+            t = table.grid[i]
+            got = second_moment_rhs(table, k, t)
+            assert abs(got - _second_moment_reference(table, k, t)) <= 1e-12 * row_max
+
+
+def test_second_moment_det_counts_atoms():
+    # atoms at 1, 2, 3: U = 1, 2 and U_2 = 0, 1 at t - y = 1, 2, so 1 + (4 + 4)
+    table = build_renewal_table(DET1, 5.0, h=0.25, k_max=2)
+    assert second_moment_rhs(table, 2, 3.0) == pytest.approx(9.0, abs=1e-9)
+
+
+def test_second_moment_off_grid_interpolates_its_neighbours(exp_table):
+    i, t = 500, 5.005  # between grid[500] and grid[501]
+    lo, hi = exp_table.grid[i], exp_table.grid[i + 1]
+    ends = [second_moment_rhs(exp_table, 2, x) for x in (lo, hi)]
+    assert second_moment_rhs(exp_table, 2, t) == np.interp(t, [lo, hi], ends)
+    assert second_moment_rhs(exp_table, 2, -1.0) == 0.0
 
 
 def test_second_moment_identity_value():

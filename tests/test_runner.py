@@ -86,6 +86,20 @@ def test_registry_group_draws_through_the_runner(monkeypatch, group):
     assert pooled == fn(verify.VerifyConfig(quick=True, workers=1), 7)
 
 
+def test_limit_sampler_maps_plain_arrays(monkeypatch):
+    dtypes = []
+
+    def recorder(task, n_reps, seed, workers=1):
+        out = runner.map_replicated(task, n_reps, seed, workers=workers)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(verify, "map_replicated", recorder)
+    [entry] = verify._test_limit_sampler_cov(verify.VerifyConfig(quick=True), 7)
+    assert entry["pass"]
+    assert dtypes and object not in dtypes
+
+
 def test_verify_run_keeps_one_pool(monkeypatch):
     started = []
 

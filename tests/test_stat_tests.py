@@ -19,7 +19,7 @@ from branchlab.stat_tests import (
     max_dev_se,
     normalize_cmj,
 )
-from branchlab.verify import _tree_grid_task
+from branchlab.verify import _tree_batch_task
 
 EXP1 = make_distribution("exp(1)")
 
@@ -75,7 +75,8 @@ def test_tree_normalization_center_and_scale():
         for k in (1, 2, 3, 4):
             for s in (0.25, 0.5, 1.0):
                 z = normalize_cmj(x, ln, k, 1.0, 1.0, s=s)
-                want = math.factorial(k - 1) * (x - (s * ln) ** k / math.factorial(k)) / ln ** (k - 0.5)
+                centred = x - (s * ln) ** k / math.factorial(k)
+                want = math.factorial(k - 1) * centred / ln ** (k - 0.5)
                 assert np.allclose(z, want, rtol=1e-13, atol=1e-13)
 
 
@@ -140,8 +141,9 @@ def _cmj_grid_counts(horizon, k_max, grid, n_reps, seed, workers=1):
 
 
 def _tree_grid_counts(n_base, k_max, grid, n_reps, seed):
-    task = partial(_tree_grid_task, n_base=n_base, s_grid=grid, k_max=k_max)
-    return map_replicated(task, n_reps, seed)
+    # levels 1..k_max of one tree per replicate, one column per grid point
+    paths = [grow_and_record(n_base, grid, k_max, RngStream(seed, r)) for r in range(n_reps)]
+    return np.stack([path.values.T for path in paths])
 
 
 def test_functional_grid_cmj():
@@ -179,7 +181,9 @@ def test_functional_grid_unit_fraction_marginals_match_normalize_cmj():
 
 def test_functional_grid_tree_marginals_match_normalize_cmj_at_log_n():
     n_base, n_reps, seed = 3001, 64, 8
-    raw = _tree_grid_counts(n_base, 2, (1.0,), n_reps, seed)
+    # the registry's single-tree task draws the same trees as grow_and_record
+    task = partial(_tree_batch_task, n_plus_1=n_base, k_hi=2, n_trees=1)
+    raw = map_replicated(task, n_reps, seed).reshape(n_reps, 2, 1)
     # n_base vertices: n = n_base - 1 attachments, the exp(1) process at ln n
     report = functional_grid_test(raw, (1.0,), math.log(n_base - 1))
     paths = [grow_and_record(n_base, (1.0,), 2, RngStream(seed, r)) for r in range(n_reps)]

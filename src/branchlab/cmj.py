@@ -12,8 +12,10 @@ generation are drawn in passes of consecutive slots with one cumulative
 sum each. A walk keeps the sums within its budget horizon - b; one that is
 still within it at the end of its slot goes on from fresh draws in a later
 pass. The slots are disjoint, so the walks are independent copies (Gut,
-Stopped Random Walks, 2nd ed., Springer 2009). Counting a generation
-compares its births with the query times, so it needs no sort.
+Stopped Random Walks, 2nd ed., Springer 2009). Each pass goes to its
+caller as it is drawn, so a caller that only counts holds counts, not
+steps. Counting a generation compares its births with the query times, so
+it needs no sort.
 
 The genealogical embedding ties this to uniform recursive trees: with unit
 rate exponential clocks, when j vertices are alive the next birth happens
@@ -106,20 +108,20 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
 def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int = 0):
     """Kept partial sums of independent increasing walks, one walk per budget.
 
-    Returns (rows, sums), one entry per kept step: sums[j] <= budgets[rows[j]]
-    is a partial sum of walk rows[j]. Walk i draws its own slot of
-    ceil(m + 3 sigma + 4) increments, at most _PASS, where m and sigma are
-    the mean and standard deviation of its step count. One pass draws the
-    slots of consecutive walks, up to _PASS increments, takes one cumulative
-    sum and keeps every sum within its walk's budget. A walk whose whole
-    slot stays within its budget goes on from fresh draws in a later pass:
-    it is extended, never redrawn. The slots are disjoint, so the walks are
-    independent copies (Gut, Stopped Random Walks, 2nd ed., Springer 2009).
+    Yields (rows, sums) per pass, one entry per kept step: sums[j] <=
+    budgets[rows[j]] is a partial sum of walk rows[j], and rows never
+    decrease. Walk i draws its own slot of ceil(m + 3 sigma + 4) increments,
+    at most _PASS, where m and sigma are the mean and standard deviation of
+    its step count. One pass draws the slots of consecutive walks, up to
+    _PASS increments, takes one cumulative sum and keeps every sum within
+    its walk's budget. A walk whose whole slot stays within its budget goes
+    on from fresh draws in a later pass: it is extended, never redrawn. The
+    slots are disjoint, so the walks are independent copies.
 
     Budgets must be finite and >= 0. Raises CapExceededError when a walk
-    expects more than MAX_EVENTS steps (before any draw), when held plus
-    the sums kept pass MAX_EVENTS (checked per pass), or when a walk is
-    still within its budget after _MAX_WIDTHS times its 10-sigma width.
+    expects more than MAX_EVENTS steps (before any draw), when held plus the
+    steps kept pass MAX_EVENTS (per pass; the work bound of every caller),
+    or when a walk stays within its budget for _MAX_WIDTHS 10-sigma widths.
     """
     budgets = np.asarray(budgets, dtype=float)
     if not np.all(np.isfinite(budgets) & (budgets >= 0.0)):
@@ -131,7 +133,6 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
     bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(np.maximum(mean, 1.0) * var) + 32.0)
     base = np.zeros(budgets.shape[0])  # the last kept sum of a walk that goes on
     drawn = np.zeros(budgets.shape[0])
-    rows, sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     walks = np.arange(budgets.shape[0])
     while walks.size:
         m = (budgets[walks] - base[walks]) / dist.mu
@@ -148,9 +149,7 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
             # restart each slot's sums from its walk's last kept sum
             s -= np.repeat(np.concatenate(([0.0], s[stop[:-1] - 1])) - base[take], w)
             keep = s <= np.repeat(budgets[take], w)
-            rows.append(np.repeat(take, w)[keep])
-            sums.append(s[keep])
-            held += rows[-1].shape[0]
+            held += np.count_nonzero(keep)
             if held > MAX_EVENTS:
                 raise CapExceededError("event count exceeds the cap")
             on = keep[stop - 1]
@@ -158,6 +157,7 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
             drawn[take] += w
             later.append(take[on])
             lo = hi
+            yield np.repeat(take, w)[keep], s[keep]
         walks = np.concatenate(later)
         stuck = walks[drawn[walks] > bound[walks]]
         if stuck.size:
@@ -165,16 +165,15 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
                 f"walk of {dist.descriptor} did not pass budget {budgets[stuck[0]]:g} "
                 f"within {_MAX_WIDTHS} times its sampling width"
             )
-    return np.concatenate(rows), np.concatenate(sums)
 
 
 def _generations(dist, horizon, k_max, rng):
     """The one generation loop behind simulate_cmj and generation_counts.
 
-    Draws generations 1..k_max: the walks of generation g+1 start at the
-    births of generation g. Returns [(times, parent_rows)] per generation,
-    in the order _walk_sums returns them; parent_rows index the previous
-    generation in that order. Raises CapExceededError when k_max exceeds
+    Yields (times, parent_rows) for generations 1..k_max, one at a time:
+    the walks of generation g+1 start at the births of generation g, which
+    is all it holds. parent_rows index the previous generation in the order
+    of _walk_sums' passes. Raises CapExceededError when k_max exceeds
     MAX_GENERATIONS, when the expected or the running event count exceeds
     MAX_EVENTS, or when a walk cannot pass its budget.
     """
@@ -187,15 +186,15 @@ def _generations(dist, horizon, k_max, rng):
     if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
         raise CapExceededError("expected event count exceeds the cap")
     births = np.zeros(1)
-    built = []
     total = 0
     for _ in range(k_max):
         # a birth can pass the horizon by a rounding error; its budget is then 0
-        rows, sums = _walk_sums(dist, rng, np.maximum(horizon - births, 0.0), total)
-        births = births[rows] + sums
+        walks = _walk_sums(dist, rng, np.maximum(horizon - births, 0.0), total)
+        passes = [(np.empty(0, dtype=np.int64), np.empty(0))]
+        passes += [(r, births[r] + s) for r, s in walks]
+        rows, births = (np.concatenate(a) for a in zip(*passes))
         total += births.shape[0]
-        built.append((births, rows))
-    return built
+        yield births, rows
 
 
 def simulate_cmj(
@@ -209,9 +208,8 @@ def simulate_cmj(
     Generation-k_max individuals are leaves (their offspring are never
     drawn). Generations are sorted by birth time only for storage, so the
     draws are those of generation_counts at the same stream. Raises
-    CapExceededError when the
-    expected or actual event count exceeds MAX_EVENTS, or when the law's
-    walk cannot pass its budget.
+    CapExceededError when the expected or actual event count exceeds
+    MAX_EVENTS, or when the law's walk cannot pass its budget.
     """
     times, anc1 = [], []
     for g, (t, rows) in enumerate(_generations(dist, horizon, k_max, rng)):
@@ -241,8 +239,8 @@ def generation_counts(
     if fractions.ndim != 1 or not np.all((fractions >= 0.0) & (fractions <= 1.0)):
         raise ValueError("fractions must be a 1-d sequence in [0, 1]")
     query = fractions * horizon
-    built = _generations(dist, horizon, k_max, rng)
-    return np.array([[np.count_nonzero(t <= q) for q in query] for t, _ in built], dtype=np.int64)
+    gens = _generations(dist, horizon, k_max, rng)
+    return np.array([[np.count_nonzero(t <= q) for q in query] for t, _ in gens], dtype=np.int64)
 
 
 def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
@@ -329,5 +327,7 @@ def renewal_count_samples(
         raise ValueError("t must be >= 0")
     if n_samples > MAX_EVENTS:
         raise CapExceededError(f"{n_samples} samples exceed the cap {MAX_EVENTS}")
-    rows, _ = _walk_sums(dist, rng, np.full(n_samples, float(t)))
-    return np.bincount(rows, minlength=n_samples)
+    counts = np.zeros(n_samples, dtype=np.int64)
+    for rows, _ in _walk_sums(dist, rng, np.full(n_samples, float(t))):
+        np.add.at(counts, rows, 1)
+    return counts

@@ -161,13 +161,20 @@ def _level_masks(parents: np.ndarray, k_max: int):
 def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
     """Counts at levels 1..k_max for every row of a parent matrix.
 
-    Raises CapExceededError, before allocating, when the counts would hold
-    more than MAX_TREE_VERTICES cells.
+    parents must be a 2-d integer array whose column i, the parents of
+    vertex i+1, lies in 0..i (ValueError otherwise). Raises
+    CapExceededError, before allocating, when the counts would hold more
+    than MAX_TREE_VERTICES cells.
     """
+    parents = np.asarray(parents)
+    if parents.ndim != 2 or not np.issubdtype(parents.dtype, np.integer):
+        raise ValueError("parents must be a 2-d integer array")
     if parents.shape[0] * k_max > MAX_TREE_VERTICES:
         raise CapExceededError(
             f"{parents.shape[0]} trees times {k_max} levels exceed the cap {MAX_TREE_VERTICES}"
         )
+    if parents.size and (parents.min() < 0 or np.any(parents > np.arange(parents.shape[1]))):
+        raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
     out = np.zeros((parents.shape[0], k_max), dtype=np.int64)
     for k, mask in enumerate(_level_masks(parents, k_max), start=1):
         out[:, k - 1] = np.count_nonzero(mask, axis=1)

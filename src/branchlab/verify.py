@@ -377,8 +377,10 @@ def _test_renewal_gamma(cfg, seed):
 
 def _shot_noise_squares(dist, table, k, t, m, rng):
     """m independent draws of (sum_j U_{k-1}(t - S_j) 1{S_j <= t})^2."""
-    rows, sums = _walk_sums(dist, rng, np.full(m, t))
-    return np.bincount(rows, np.interp(t - sums, table.grid, table.uk[k - 2]), minlength=m) ** 2
+    total = np.zeros(m)
+    for rows, sums in _walk_sums(dist, rng, np.full(m, t)):
+        np.add.at(total, rows, np.interp(t - sums, table.grid, table.uk[k - 2]))
+    return total**2
 
 
 def _test_second_moment_identity(cfg, seed):

@@ -1,11 +1,7 @@
 import math
-import os
 import signal
-import subprocess
-import sys
 from contextlib import contextmanager
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +27,12 @@ from branchlab.recursive_tree import depths_from_parents, generate_rrt
 from branchlab.renewal import build_renewal_table
 from branchlab.rng import RngStream
 from branchlab.stat_tests import ks_two_sample
-from branchlab.verify import _TWO_SAMPLE_CRIT
+from branchlab.verify import _TWO_SAMPLE_CRIT, _shot_noise_squares
 
 EXP1 = make_distribution("exp(1)")
 GAMMA22 = make_distribution("gamma(2,2)")
 UNIFORM = make_distribution("uniform(0.5,1.5)")
 DET1 = make_distribution("det(1)")
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +182,6 @@ def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# Runs the refusal in a fresh interpreter. VmHWM is the peak of this process
-# image alone; ru_maxrss would also keep the peak of the test process that
-# spawned it.
 _REFUSAL_PROBE = """
 from branchlab.cmj import simulate_cmj
 from branchlab.distributions import make_distribution
@@ -200,55 +192,94 @@ try:
     print("not refused")
 except CapExceededError:
     print("refused")
-with open("/proc/self/status") as f:
-    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_refusal_stays_within_bounded_memory():
+def test_refusal_stays_within_bounded_memory(fresh_peak_mb):
     # the refusal peaks near 207 MB, about 80 MB of it the interpreter with
     # numpy; before the walks were drawn in bounded passes it took 521 MB
-    out = subprocess.run(
-        [sys.executable, "-c", _REFUSAL_PROBE],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    verdict, peak_mb = out.stdout.split()
-    assert verdict == "refused"
-    assert int(peak_mb) < 300
+    verdict, peak = fresh_peak_mb(_REFUSAL_PROBE, timeout=60)
+    assert verdict == ["refused"]
+    assert peak < 300
+
+
+_COUNT_PROBE = """
+from branchlab.cmj import renewal_count_samples
+from branchlab.distributions import make_distribution
+from branchlab.rng import RngStream
+renewal_count_samples(make_distribution("exp(1)"), 500.0, 20_000, RngStream(0, 0))
+"""
+
+
+def test_counting_walks_hold_counts_not_steps(fresh_peak_mb):
+    # 1e7 kept steps folded into 160 KB of counts: about 52 MB, most of it the
+    # interpreter with numpy; holding every kept step until the end took 357 MB
+    _, peak = fresh_peak_mb(_COUNT_PROBE)
+    assert peak < 150
+
+
+def _joined(passes):
+    rows, sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for r, s in passes:
+        rows.append(r)
+        sums.append(s)
+    return np.concatenate(rows), np.concatenate(sums)
 
 
 @pytest.mark.parametrize("law", [EXP1, GAMMA22, DET1], ids=lambda d: d.descriptor)
 def test_walk_stream_cuts_cover_rows_and_pass_budgets(law):
     # more kept sums than one pass draws, so the walks are cut over several passes
     budgets = np.linspace(60.0, 0.0, 120_001)
-    rows, sums = _walk_sums(law, RngStream(2, 0), budgets)
-    assert rows.shape == sums.shape
+    passes = list(_walk_sums(law, RngStream(2, 0), budgets))
+    assert len(passes) > 1
+    for r, s in passes:
+        assert r.shape == s.shape
+        assert r.shape[0] <= _PASS
+        assert np.all(np.diff(r) >= 0)
+    rows, sums = _joined(passes)
     assert rows.shape[0] > _PASS
     assert np.all(sums >= 0.0)
     assert np.all(sums <= budgets[rows])
     if law is DET1:
         counts = np.bincount(rows, minlength=budgets.shape[0])
         assert np.array_equal(counts, np.floor(budgets))
-    rows, sums = _walk_sums(law, RngStream(2, 0), [])
-    assert rows.shape == sums.shape == (0,)
+    assert list(_walk_sums(law, RngStream(2, 0), [])) == []
 
 
 def test_walk_stream_budget_rules():
-    # a walk longer than one chunk grows its buffer and still counts exactly
+    # a walk longer than one pass goes on in the next and still counts exactly
     assert renewal_count_samples(DET1, 300_000.5, 2, RngStream(0, 0)).tolist() == [300_000] * 2
     for t in (math.inf, math.nan):
         with pytest.raises(ValueError):
             renewal_count_samples(EXP1, t, 10, RngStream(0, 0))
     with pytest.raises(ValueError):
-        _walk_sums(EXP1, RngStream(0, 0), [1.0, -1.0])
+        next(_walk_sums(EXP1, RngStream(0, 0), [1.0, -1.0]))
     # mean step 1e-18: the walk would take about 1e19 steps, so it is refused before drawing
     with pytest.raises(CapExceededError):
         renewal_count_samples(make_distribution("gamma(1e-9,1e9)"), 10.0, 1, RngStream(0, 0))
+
+
+def test_counting_walks_are_bounded_by_the_steps_they_keep(monkeypatch):
+    # 1e5 kept steps fold into 1000 counts, yet the cap on kept steps is what
+    # bounds the work of a caller that only counts
+    monkeypatch.setattr(cmj, "MAX_EVENTS", 2**16)
+    with pytest.raises(CapExceededError):
+        renewal_count_samples(EXP1, 100.0, 1000, RngStream(0, 0))
+
+
+def test_shot_noise_added_per_pass_equals_one_bincount(monkeypatch):
+    # small passes, so many walks of gamma(0.1,0.1) outrun their slot and
+    # span two passes: the per-pass adds keep the order of one bincount
+    monkeypatch.setattr(cmj, "_PASS", 1 << 12)
+    law, k, t, m = make_distribution("gamma(0.1,0.1)"), 2, 3.0, 4000
+    table = build_renewal_table(law, t, h=0.01, k_max=k)
+    got = _shot_noise_squares(law, table, k, t, m, RngStream(9, 0))
+    passes = list(_walk_sums(law, RngStream(9, 0), np.full(m, t)))
+    spanning = np.bincount(np.concatenate([np.unique(r) for r, _ in passes]), minlength=m) > 1
+    assert np.count_nonzero(spanning) > 10
+    rows, sums = _joined(passes)
+    weights = np.interp(t - sums, table.grid, table.uk[k - 2])
+    assert got.tobytes() == (np.bincount(rows, weights, minlength=m) ** 2).tobytes()
 
 
 def test_renewal_count_samples_past_the_event_cap_are_refused_before_allocating(monkeypatch):

@@ -1,8 +1,6 @@
 import json
 import os
 import stat
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +29,6 @@ from branchlab.recursive_tree import generate_rrt, grow_and_record
 from branchlab.renewal import build_renewal_table, table_from_csv
 from branchlab.rng import RngStream
 from branchlab.verify import _entry
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _cell(v) -> str:
@@ -370,30 +366,18 @@ def test_artifacts_get_the_umask_mode(tmp_path):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
 
-# VmHWM is the peak of this process image alone; ru_maxrss would also keep
-# the peak of the test process that spawned it
 _GEN_TREE_PROBE = """
 import sys
 from branchlab.cli import main
 assert main(["gen-tree", "--n", "1000000", "--output-dir", sys.argv[1]]) == 0
-with open("/proc/self/status") as f:
-    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_tree_csv_streams_in_bounded_memory(tmp_path):
+def test_tree_csv_streams_in_bounded_memory(tmp_path, fresh_peak_mb):
     # about 120 MB, most of it the interpreter with numpy; holding the rows
     # and their join at once took 203 MB
-    out = subprocess.run(
-        [sys.executable, "-c", _GEN_TREE_PROBE, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert int(out.stdout.split()[-1]) < 150
+    _, peak = fresh_peak_mb(_GEN_TREE_PROBE, tmp_path)
+    assert peak < 150
 
 
 _CMJ_PROBE = """
@@ -407,26 +391,13 @@ if sys.argv[1] == "simulate":
 else:
     argv = ["cmj", "--horizon", "13", "--k-max", "30", "--seed", "10", "--output-dir"]
     assert main(argv + [sys.argv[2]]) == 0
-with open("/proc/self/status") as f:
-    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_trajectory_csv_streams_in_bounded_memory(tmp_path):
+def test_trajectory_csv_streams_in_bounded_memory(tmp_path, fresh_peak_mb):
     # 1.6e6 events: the run alone peaks near 90 MB, and the cmj command writing
     # them in merged time blocks as well about 1 MB more; sorting them all at
     # once, while the run was still held, took 150 MB
-    peaks = {}
-    for mode in ("simulate", "cmj"):
-        out = subprocess.run(
-            [sys.executable, "-c", _CMJ_PROBE, mode, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        peaks[mode] = int(out.stdout.split()[-1])
+    peaks = {mode: fresh_peak_mb(_CMJ_PROBE, mode, tmp_path)[1] for mode in ("simulate", "cmj")}
     assert [p.name for p in tmp_path.iterdir()] == ["cmj_exp_T13_seed10.csv"]
     assert peaks["cmj"] < peaks["simulate"] + 10

@@ -181,6 +181,22 @@ def test_level_counts_batch_past_the_cap_is_refused_before_allocating(monkeypatc
             level_counts_batch(parents, k_max)
 
 
+@pytest.mark.parametrize(
+    "parents",
+    [
+        [[0, 7]],  # past the vertices already attached
+        [[0, -1]],  # would wrap around to the last vertex
+        [[2, 1]],  # a cycle
+        [[2, 0]],  # out of recursive order
+        [[0.5, 0]],  # not an integer
+        [0, 0],  # not a matrix
+    ],
+)
+def test_level_counts_batch_refuses_malformed_parent_matrices(parents):
+    with pytest.raises(ValueError):
+        level_counts_batch(np.array(parents), 3)
+
+
 def test_tree_batch_task_level1_counts_root_children():
     got = _tree_batch_task(RngStream(11, 3), n_plus_1=400, k_hi=1, n_trees=20)
     parents = generate_parent_matrix(20, 400, RngStream(11, 3))

@@ -219,10 +219,7 @@ def test_counting_walks_hold_counts_not_steps(fresh_peak_mb):
 
 
 def _joined(passes):
-    rows, sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for r, s in passes:
-        rows.append(r)
-        sums.append(s)
+    rows, sums = zip(*passes)
     return np.concatenate(rows), np.concatenate(sums)
 
 

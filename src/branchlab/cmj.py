@@ -274,7 +274,7 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
         raise ValueError("n must be >= 0")
     if n > MAX_EMBEDDED_BIRTHS:
         raise CapExceededError(f"{n} births exceed the cap {MAX_EMBEDDED_BIRTHS}")
-    parent = np.full(n + 1, -1, dtype=np.int64)
+    parent = np.full(n + 1, -1, dtype=np.int32)
     birth_times = np.empty(n)
     if n:
         draws = rng.exponential(size=2 * n + 1)

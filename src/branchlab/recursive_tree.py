@@ -31,7 +31,12 @@ _DEPTH_CHUNK = 1 << 16  # vertices per chunk in depths_from_parents
 
 @dataclass(frozen=True)
 class RecursiveTree:
-    """Flat-array recursive tree; parent[0] is -1 and parent[i] < i."""
+    """Flat-array recursive tree; parent[0] is -1 and parent[i] < i.
+
+    The samplers fill parent as int32: every index lies below
+    MAX_TREE_VERTICES = 2**27 < 2**31, and 4-byte entries halve what a
+    tree at the cap holds.
+    """
 
     parent: np.ndarray
 
@@ -65,14 +70,15 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     pointer jumping (list ranking) over just those vertices sums the edges
     up to the first ancestor already resolved, so a chunk takes about
     log2 of its longest in-chunk chain passes. Depths go straight into
-    the int64 result and every work array is at most chunk-sized.
+    the int32 result (a depth is below V <= MAX_TREE_VERTICES < 2**31)
+    and every work array is at most chunk-sized.
     parent[0] is ignored; any other parent[i] outside 0..i-1 raises
     ValueError, so a tree must be listed in recursive order.
     """
     V = parent.shape[0]
     if V > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
-    depth = np.zeros(V, dtype=np.int64)
+    depth = np.zeros(V, dtype=np.int32)
     for lo in range(1, V, _DEPTH_CHUNK):
         hi = min(lo + _DEPTH_CHUNK, V)
         p = parent[lo:hi].astype(np.intp, copy=False)
@@ -90,7 +96,7 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
         slot = np.zeros(hi - lo, dtype=np.intp)
         slot[inside] = np.arange(1, inside.size + 1)
         d[inside] = 0
-        val = np.zeros(inside.size + 1, dtype=np.int64)
+        val = np.zeros(inside.size + 1, dtype=np.int32)
         nxt = np.zeros(inside.size + 1, dtype=np.intp)
         val[1:] = d[up] + 1
         nxt[1:] = slot[up]
@@ -107,9 +113,10 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
         raise ValueError("vertex count must be >= 1")
     if n_plus_1 > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {n_plus_1} vertices exceeds the memory cap")
-    parent = np.empty(n_plus_1, dtype=np.int64)
+    parent = np.empty(n_plus_1, dtype=np.int32)
     parent[0] = -1
-    # blockwise draws consume the stream exactly as one full-length draw
+    # blockwise draws consume the stream exactly as one full-length draw;
+    # each int64 block is cast on assignment
     for lo in range(1, n_plus_1, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, n_plus_1)
         parent[lo:hi] = rng.integers(0, np.arange(lo, hi))
@@ -117,8 +124,17 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
 
 
 def profile(tree: RecursiveTree) -> ProfileVector:
-    """Level occupancy counts of the whole tree."""
-    return ProfileVector(np.bincount(depths_from_parents(tree.parent)))
+    """Level occupancy counts of the whole tree.
+
+    Raises ValueError for an empty parent array: a tree has its root.
+    """
+    depth = depths_from_parents(tree.parent)
+    if not depth.size:
+        raise ValueError("a tree has at least its root vertex")
+    counts = np.zeros(int(depth.max()) + 1, dtype=np.int64)
+    # unlike bincount, add.at reads the int32 depths without an intp copy of them all
+    np.add.at(counts, depth, 1)
+    return ProfileVector(counts)
 
 
 def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.ndarray:

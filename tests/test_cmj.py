@@ -446,13 +446,15 @@ def test_embedded_tree_refuses_births_past_the_cap():
 
 @pytest.mark.parametrize("n, n_trees", [(0, 3), (1, 5), (2, 1), (37, 64), (500, 20)])
 def test_embedded_parent_matrix_rows_are_the_heap_trees(n, n_trees):
-    """Row r equals the r-th of n_trees heap-grown trees on one stream, byte for byte."""
+    """Row r equals the r-th of n_trees heap-grown trees on one stream, byte for
+    byte once the heap's int32 parents are widened to the matrix's int64."""
     batch_rng, heap_rng = RngStream(53, 1), RngStream(53, 1)
     batch = _embedded_parent_matrix(n_trees, n, batch_rng)
     heap = [simulate_embedded_rrt(n, heap_rng).tree.parent[1:] for _ in range(n_trees)]
     assert batch.shape == (n_trees, n)
     assert batch.dtype == np.int64
-    assert batch.tobytes() == np.stack(heap).tobytes()
+    assert all(row.dtype == np.int32 for row in heap)
+    assert batch.tobytes() == np.stack(heap).astype(np.int64).tobytes()
     # both consumed the same draws
     assert batch_rng.random() == heap_rng.random()
 

@@ -374,8 +374,8 @@ assert main(["gen-tree", "--n", "1000000", "--output-dir", sys.argv[1]]) == 0
 
 
 def test_tree_csv_streams_in_bounded_memory(tmp_path, fresh_peak_mb):
-    # about 120 MB, most of it the interpreter with numpy; holding the rows
-    # and their join at once took 203 MB
+    # about 64 MB, most of it the interpreter with numpy (68 MB with int64
+    # parents); holding the rows and their join at once took 203 MB
     _, peak = fresh_peak_mb(_GEN_TREE_PROBE, tmp_path)
     assert peak < 150
 

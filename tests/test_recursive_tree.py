@@ -9,6 +9,7 @@ from branchlab.recursive_tree import (
     _DEPTH_CHUNK,
     _DRAW_BLOCK,
     MAX_TREE_VERTICES,
+    RecursiveTree,
     depths_from_parents,
     exact_profile_distribution,
     generate_parent_matrix,
@@ -67,7 +68,7 @@ def test_depths_match_naive_walk():
         naive = np.zeros(parent.shape[0], dtype=np.int64)
         for i in range(1, parent.shape[0]):
             naive[i] = naive[parent[i]] + 1
-        assert d.dtype == np.int64
+        assert d.dtype == np.int32
         assert np.array_equal(d, naive)
 
 
@@ -78,7 +79,7 @@ def _naive_depths(parent):
     return np.array(naive, dtype=np.int64)
 
 
-def test_depths_match_naive_walk_across_chunks():
+def _chunk_spanning_shapes():
     V = 3 * _DEPTH_CHUNK + 123  # four chunks, the last one partial
     starts = np.arange(1, V, _DEPTH_CHUNK)
     chains = np.arange(-1, V - 1, dtype=np.int64)
@@ -86,19 +87,35 @@ def test_depths_match_naive_walk_across_chunks():
     relay = np.arange(-1, V - 1, dtype=np.int64)
     relay[starts[1:]] = starts[1:] - _DEPTH_CHUNK // 2  # chains hung mid-chain
     uniform = generate_rrt(V, RngStream(9, 0)).parent
-    shapes = {
+    return {
         "uniform": uniform,
-        "uniform as int32": uniform.astype(np.int32),
+        "uniform as int64": uniform.astype(np.int64),
         "uniform as float64": uniform.astype(np.float64),
-        "path": np.arange(-1, V - 1, dtype=np.int64),
+        "path": np.arange(-1, V - 1, dtype=np.int64),  # deepest level in the last chunk only
         "star": np.r_[-1, np.zeros(V - 1, dtype=np.int64)],
         "chains": chains,
         "relay": relay,
+        "root alone": np.array([-1], dtype=np.int64),
     }
-    for name, parent in shapes.items():
+
+
+def test_depths_match_naive_walk_across_chunks():
+    for name, parent in _chunk_spanning_shapes().items():
         d = depths_from_parents(parent)
-        assert d.dtype == np.int64, name
+        assert d.dtype == np.int32, name
         assert np.array_equal(d, _naive_depths(parent)), name
+
+
+def test_profile_matches_a_bincount_of_the_naive_depths():
+    for name, parent in _chunk_spanning_shapes().items():
+        counts = profile(RecursiveTree(parent)).counts
+        assert counts.dtype == np.int64, name
+        assert np.array_equal(counts, np.bincount(_naive_depths(parent))), name
+
+
+def test_profile_refuses_a_tree_without_its_root():
+    with pytest.raises(ValueError):
+        profile(RecursiveTree(np.empty(0, dtype=np.int32)))
 
 
 def test_depths_reject_trees_out_of_recursive_order():
@@ -138,10 +155,28 @@ def test_depths_peak_memory_stays_below_twice_the_input():
     assert peak <= 2 * parent.nbytes
 
 
+_PROFILE_PROBE = """
+from branchlab.recursive_tree import generate_rrt, profile
+from branchlab.rng import RngStream
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
+profile(generate_rrt(2**22, RngStream(0, 0)))
+"""
+
+
+def test_profile_holds_four_bytes_per_vertex_for_parents_and_depths(fresh_peak_mb):
+    # above the peak after imports, the int32 parent and depth arrays take
+    # 32 MB at 2**22 vertices and the run 36 MB; an int64 parent or depth
+    # array, or a bincount copying the depths to intp, each added 16-32 MB
+    (imported,), peak = fresh_peak_mb(_PROFILE_PROBE)
+    assert peak - int(imported) < 44
+
+
 def test_blockwise_parent_draws_equal_one_full_draw():
     V = 2 * _DRAW_BLOCK + 12_345
     tree = generate_rrt(V, RngStream(7, 0))
     full = RngStream(7, 0).integers(0, np.arange(1, V))
+    assert tree.parent.dtype == np.int32
     assert tree.parent[0] == -1
     assert np.array_equal(tree.parent[1:], full)
 

@@ -65,10 +65,10 @@ class CmjTrajectory:
 
     times[g] and anc1[g] describe generation g+1, each sorted by birth time
     (ties keep creation order). anc1 labels each event with its
-    generation-1 ancestor, 1 + that ancestor's index in times[0].
+    generation-1 ancestor, 1 + that ancestor's index in times[0]. The law
+    is not kept: the caller that passed it to simulate_cmj holds it.
     """
 
-    dist: IncrementDistribution
     horizon: float
     k_max: int
     times: list
@@ -122,6 +122,8 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
     expects more than MAX_EVENTS steps (before any draw), when held plus the
     steps kept pass MAX_EVENTS (per pass; the work bound of every caller),
     or when a walk stays within its budget for _MAX_WIDTHS 10-sigma widths.
+    That bound is worked out each round for the walks that go on only, so a
+    walk holds three floats between rounds: budget, last kept sum, draws.
     """
     budgets = np.asarray(budgets, dtype=float)
     if not np.all(np.isfinite(budgets) & (budgets >= 0.0)):
@@ -129,8 +131,6 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
     if budgets.size and budgets.max() / dist.mu > MAX_EVENTS:
         raise CapExceededError(f"a walk of {dist.descriptor} expects more than {MAX_EVENTS} steps")
     var = dist.sigma2 / dist.mu**2  # step-count variance per unit of mean
-    mean = budgets / dist.mu
-    bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(np.maximum(mean, 1.0) * var) + 32.0)
     base = np.zeros(budgets.shape[0])  # the last kept sum of a walk that goes on
     drawn = np.zeros(budgets.shape[0])
     walks = np.arange(budgets.shape[0])
@@ -159,7 +159,9 @@ def _walk_sums(dist: IncrementDistribution, rng: RngStream, budgets, held: int =
             lo = hi
             yield np.repeat(take, w)[keep], s[keep]
         walks = np.concatenate(later)
-        stuck = walks[drawn[walks] > bound[walks]]
+        mean = budgets[walks] / dist.mu
+        bound = _MAX_WIDTHS * (mean + 10.0 * np.sqrt(np.maximum(mean, 1.0) * var) + 32.0)
+        stuck = walks[drawn[walks] > bound]
         if stuck.size:
             raise CapExceededError(
                 f"walk of {dist.descriptor} did not pass budget {budgets[stuck[0]]:g} "
@@ -218,7 +220,7 @@ def simulate_cmj(
         order = np.argsort(t, kind="stable")
         times.append(t[order])
         anc1.append(anc[order])
-    return CmjTrajectory(dist, float(horizon), int(k_max), times, anc1)
+    return CmjTrajectory(float(horizon), int(k_max), times, anc1)
 
 
 def generation_counts(

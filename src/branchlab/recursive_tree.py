@@ -61,6 +61,13 @@ class ProfilePath:
     values: np.ndarray
 
 
+def _check_parents(parents: np.ndarray, first: int) -> None:
+    """Refuse parents[..., j] outside 0..i-1, where i = first + j is its vertex."""
+    i = np.arange(first, first + parents.shape[-1])
+    if parents.size and (parents.min() < 0 or np.any(parents >= i)):
+        raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
+
+
 def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     """Depth of every vertex, root = 0, resolved in recursive order.
 
@@ -72,9 +79,13 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     log2 of its longest in-chunk chain passes. Depths go straight into
     the int32 result (a depth is below V <= MAX_TREE_VERTICES < 2**31)
     and every work array is at most chunk-sized.
-    parent[0] is ignored; any other parent[i] outside 0..i-1 raises
-    ValueError, so a tree must be listed in recursive order.
+    parent must be a 1-d integer array (ValueError otherwise). parent[0]
+    is ignored; any other parent[i] outside 0..i-1 raises ValueError, so
+    a tree must be listed in recursive order.
     """
+    parent = np.asarray(parent)
+    if parent.ndim != 1 or not np.issubdtype(parent.dtype, np.integer):
+        raise ValueError("parent must be a 1-d integer array")
     V = parent.shape[0]
     if V > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
@@ -82,8 +93,7 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     for lo in range(1, V, _DEPTH_CHUNK):
         hi = min(lo + _DEPTH_CHUNK, V)
         p = parent[lo:hi].astype(np.intp, copy=False)
-        if p.min() < 0 or np.any(p >= np.arange(lo, hi)):
-            raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
+        _check_parents(p, lo)
         d = depth[lo:hi]
         np.add(depth[p], 1, out=d)  # final wherever the parent lies below lo
         inside = np.flatnonzero(p >= lo)
@@ -189,8 +199,7 @@ def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
         raise CapExceededError(
             f"{parents.shape[0]} trees times {k_max} levels exceed the cap {MAX_TREE_VERTICES}"
         )
-    if parents.size and (parents.min() < 0 or np.any(parents > np.arange(parents.shape[1]))):
-        raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
+    _check_parents(parents, 1)
     out = np.zeros((parents.shape[0], k_max), dtype=np.int64)
     for k, mask in enumerate(_level_masks(parents, k_max), start=1):
         out[:, k - 1] = np.count_nonzero(mask, axis=1)

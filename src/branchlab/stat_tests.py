@@ -137,9 +137,11 @@ def max_dev_se(emp, target, se) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridTestReport:
-    """Joint check of counts on a time grid against the Gaussian limit."""
+    """Joint check of counts on a time grid against the Gaussian limit.
 
-    t_grid: tuple
+    marginals[(k, i)] tests level or generation k at the caller's t_grid[i], not echoed.
+    """
+
     marginals: dict
     min_marginal_p: float
     max_marginal_stat: float
@@ -197,7 +199,6 @@ def functional_grid_test(
     emp, se = empirical_cov(flat)
 
     return GridTestReport(
-        t_grid=s_grid,
         marginals=marginals,
         min_marginal_p=float(min_p),
         max_marginal_stat=float(max_stat),

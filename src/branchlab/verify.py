@@ -61,20 +61,11 @@ class VerifyConfig:
     quick: bool = False
 
 
-def _entry(
-    name: str,
-    statistic,
-    budget,
-    gating: bool,
-    p_value=None,
-    n_eff=None,
-    details=None,
-    skipped: bool = False,
-):
+def _entry(name: str, statistic, budget, gating: bool, p_value=None, n_eff=None, details=None):
+    """One result named within its group; a None statistic marks it skipped, and not passed."""
     stat = None if statistic is None else float(statistic)
     ok = (
-        not skipped
-        and stat is not None
+        stat is not None
         and math.isfinite(stat)
         and budget is not None
         and stat <= budget
@@ -87,7 +78,7 @@ def _entry(
         "n_eff": _json_number(n_eff),
         "pass": bool(ok),
         "gating": bool(gating),
-        "skipped": bool(skipped),
+        "skipped": stat is None,
         "details": {
             key: _json_number(v) if isinstance(v, float) else v
             for key, v in (details or {}).items()
@@ -108,8 +99,9 @@ def _json_number(x):
 
 
 def _tree_batch_task(rng, n_plus_1, k_hi, n_trees):
+    """Levels 1..k_hi of n_trees uniform trees of n_plus_1 vertices, one int64 row each."""
     parents = generate_parent_matrix(n_trees, n_plus_1, rng)
-    return level_counts_batch(parents, k_hi).astype(float)
+    return level_counts_batch(parents, k_hi)
 
 
 def _embedding_task(rng, n, k_hi, n_trees):
@@ -138,15 +130,7 @@ def _limit_task(rng, cov, n_samples):
 def _probe_task(rng, dist, horizon, n):
     counts = generation_counts(dist, horizon, 2, (1.0,), rng)[:, 0]
     levels = _tree_batch_task(rng, n + 1, 2, 1)[0]
-    return np.array(
-        [
-            float(counts[0]),
-            float(counts[1]),
-            float(levels[0]),
-            float(levels[1]),
-            rng.random(),
-        ]
-    )
+    return np.hstack([counts, levels, rng.random()])  # float64, as rng.random() is
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +156,9 @@ def _test_cov_closed_form(cfg, seed):
             target = s ** (2 * k - 1) / (2 * k - 1)
             worst_diag = max(worst_diag, abs(cov_rkl(k, k, s, s) - target) / target)
     return [
-        _entry("cov_closed_form.vs_quadrature", worst_int, 1e-10, True),
-        _entry("cov_closed_form.unit_time_identity", worst_unit, 1e-12, True),
-        _entry("cov_closed_form.diagonal_relative", worst_diag, 1e-12, True),
+        _entry("vs_quadrature", worst_int, 1e-10, True),
+        _entry("unit_time_identity", worst_unit, 1e-12, True),
+        _entry("diagonal_relative", worst_diag, 1e-12, True),
     ]
 
 
@@ -192,7 +176,7 @@ def _test_embedding_ks(cfg, seed):
     budget = _TWO_SAMPLE_CRIT * math.sqrt(2.0 / m)
     return [
         _ks_entry(
-            f"embedding_ks.level{k}",
+            f"level{k}",
             ks_two_sample(rows[:, k - 1], rows[:, k_hi + k - 1]),
             budget,
             True,
@@ -202,7 +186,7 @@ def _test_embedding_ks(cfg, seed):
     ]
 
 
-def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, mu=1.0, sigma2=1.0):
+def _unit_fraction_entries(cfg, seed, budget, gating, details, task, t, mu=1.0, sigma2=1.0):
     """KS entries for the levels 1 and 2 marginals at the full horizon or size.
 
     task draws one replicate's levels 1 and 2 at fraction 1, as (2, 1) or (1, 2) counts.
@@ -211,19 +195,19 @@ def _unit_fraction_entries(cfg, seed, label, budget, gating, details, task, t, m
     raw = map_replicated(task, m, seed, workers=cfg.workers).reshape(m, 2, 1)
     report = functional_grid_test(raw, (1.0,), t, mu, sigma2)
     return [
-        _ks_entry(f"{label}.k{k}", rep, budget, gating, {**details, "n_reps": m})
+        _ks_entry(f"k{k}", rep, budget, gating, {**details, "n_reps": m})
         for (k, _), rep in report.marginals.items()
     ]
 
 
-def _test_cmj_clt(cfg, seed, label, descriptor):
+def _test_cmj_clt(descriptor, cfg, seed):
     dist = make_distribution(descriptor)
     horizon = 200.0
     budget = 0.12 if cfg.quick else 0.08
     details = {"horizon": horizon, "law": dist.descriptor}
     task = partial(generation_counts, dist, horizon, 2, (1.0,))
     return _unit_fraction_entries(
-        cfg, seed, label, budget, True, details, task, horizon, dist.mu, dist.sigma2
+        cfg, seed, budget, True, details, task, horizon, dist.mu, dist.sigma2
     )
 
 
@@ -236,12 +220,12 @@ def _test_functional_grid_exp(cfg, seed):
     report = functional_grid_test(raw, grid, horizon, dist.mu, dist.sigma2)
     details = {
         "n_reps": m,
-        "grid": list(report.t_grid),
+        "grid": list(grid),
         "min_marginal_p": report.min_marginal_p,
     }
     return [
         _entry(
-            "functional_grid_exp.marginal_worst",
+            "marginal_worst",
             report.max_marginal_stat,
             marg_budget,
             True,
@@ -249,14 +233,7 @@ def _test_functional_grid_exp(cfg, seed):
             n_eff=m,
             details=details,
         ),
-        _entry(
-            "functional_grid_exp.cov_dev_se",
-            report.max_cov_dev_se,
-            4.0,
-            True,
-            n_eff=m,
-            details={"n_reps": m},
-        ),
+        _entry("cov_dev_se", report.max_cov_dev_se, 4.0, True, n_eff=m, details={"n_reps": m}),
     ]
 
 
@@ -279,16 +256,8 @@ def _test_profile_small_n_tv(cfg, seed):
         emp = {tuple(int(v) for v in row): c / m for row, c in zip(keys, tallies)}
         support = set(exact) | set(emp)
         tv = 0.5 * sum(abs(emp.get(p, 0.0) - exact.get(p, 0.0)) for p in support)
-        out.append(
-            _entry(
-                f"profile_small_n_tv.n{n_plus_1}",
-                tv,
-                budget,
-                True,
-                n_eff=m,
-                details={"support_exact": len(exact)},
-            )
-        )
+        details = {"support_exact": len(exact)}
+        out.append(_entry(f"n{n_plus_1}", tv, budget, True, n_eff=m, details=details))
     return out
 
 
@@ -306,7 +275,7 @@ def _test_level1_moments(cfg, seed):
     se_var = math.sqrt(max(m4 - var_emp**2, 0.0) / m)
     return [
         _entry(
-            "level1_moments.mean_dev_se",
+            "mean_dev_se",
             abs(mean_emp - mean_exact) / se_mean,
             4.0,
             True,
@@ -314,7 +283,7 @@ def _test_level1_moments(cfg, seed):
             details={"n": n, "mean_exact": mean_exact, "mean_emp": mean_emp},
         ),
         _entry(
-            "level1_moments.var_dev_se",
+            "var_dev_se",
             abs(var_emp - var_exact) / se_var,
             4.0,
             True,
@@ -330,16 +299,8 @@ def _test_limit_sampler_cov(cfg, seed):
     task = partial(_limit_task, cov=cov, n_samples=1000)
     draws = map_replicated(task, m // 1000, seed, workers=cfg.workers).reshape(m, cov.dim)
     emp, se = empirical_cov(draws)
-    return [
-        _entry(
-            "limit_sampler_cov.dev_se",
-            max_dev_se(emp, cov.matrix, se),
-            4.0,
-            True,
-            n_eff=m,
-            details={"dim": cov.dim, "jitter": _factor(cov.matrix)[1]},
-        )
-    ]
+    details = {"dim": cov.dim, "jitter": _factor(cov.matrix)[1]}
+    return [_entry("dev_se", max_dev_se(emp, cov.matrix, se), 4.0, True, n_eff=m, details=details)]
 
 
 def _test_renewal_exp(cfg, seed):
@@ -350,9 +311,9 @@ def _test_renewal_exp(cfg, seed):
     u2_dev = float(np.max(np.abs(table.uk[1] - t**2 / 2.0)))
     yk3_worst = max(abs(yk3_exact(table, 2, x)) for x in (5.0, 12.5, 25.0, 37.5, 50.0))
     return [
-        _entry("renewal_exp.u1_dev", u1_dev, 0.1, True),
-        _entry("renewal_exp.u2_dev", u2_dev, 0.5, True),
-        _entry("renewal_exp.drift_term_zero", yk3_worst, 1e-3, True),
+        _entry("u1_dev", u1_dev, 0.1, True),
+        _entry("u2_dev", u2_dev, 0.5, True),
+        _entry("drift_term_zero", yk3_worst, 1e-3, True),
     ]
 
 
@@ -363,15 +324,9 @@ def _test_renewal_gamma(cfg, seed):
     lo, hi = lorden_check(table)
     band_violation = max(-1.0 - lo, hi - dist.sigma2 / dist.second_moment)
     return [
-        _entry(
-            "renewal_gamma.lorden_band",
-            band_violation,
-            tol,
-            True,
-            details={"min_dev": lo, "max_dev": hi},
-        ),
-        _entry("renewal_gamma.uk_bound_k2", uk_bound_check(table, 2), tol, True),
-        _entry("renewal_gamma.uk_bound_k3", uk_bound_check(table, 3), tol, True),
+        _entry("lorden_band", band_violation, tol, True, details={"min_dev": lo, "max_dev": hi}),
+        _entry("uk_bound_k2", uk_bound_check(table, 2), tol, True),
+        _entry("uk_bound_k3", uk_bound_check(table, 3), tol, True),
     ]
 
 
@@ -395,14 +350,14 @@ def _test_second_moment_identity(cfg, seed):
     mc, se = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(m)
     return [
         _entry(
-            "second_moment_identity.grid_vs_closed_form",
+            "grid_vs_closed_form",
             abs(rhs - target),
             0.01,
             True,
             details={"rhs": rhs, "closed_form": target},
         ),
         _entry(
-            "second_moment_identity.mc_dev_se",
+            "mc_dev_se",
             abs(mc - rhs) / se,
             3.0,
             True,
@@ -414,22 +369,13 @@ def _test_second_moment_identity(cfg, seed):
 
 def _moment_ratio_entries(descriptor, t, halfwidth_full, halfwidth_quick, cfg, seed):
     dist = make_distribution(descriptor)
-    label = f"moment_ratio_{dist.kind}"
     m = 5000 if cfg.quick else 20_000
     half = halfwidth_quick if cfg.quick else halfwidth_full
     task = partial(renewal_count_samples, dist, t, 1000)
     counts = map_replicated(task, m // 1000, seed, workers=cfg.workers).ravel()
     ratio = moment_ratio(counts, dist, t, 2.0)
-    return [
-        _entry(
-            f"{label}.ratio",
-            abs(ratio - 1.0),
-            half,
-            True,
-            n_eff=m,
-            details={"ratio": ratio, "t": t, "p": 2.0, "law": descriptor},
-        )
-    ]
+    details = {"ratio": ratio, "t": t, "p": 2.0, "law": descriptor}
+    return [_entry("ratio", abs(ratio - 1.0), half, True, n_eff=m, details=details)]
 
 
 def _test_worker_determinism(cfg, seed):
@@ -438,16 +384,8 @@ def _test_worker_determinism(cfg, seed):
     serial = map_replicated(task, reps, seed, workers=1)
     pooled = map_replicated(task, reps, seed, workers=max(2, min(cfg.workers, 4)))
     same = serial.tobytes() == pooled.tobytes()
-    return [
-        _entry(
-            "worker_determinism.probe",
-            0.0 if same else 1.0,
-            0.0,
-            True,
-            n_eff=reps,
-            details={"replicates": reps},
-        )
-    ]
+    details = {"replicates": reps}
+    return [_entry("probe", 0.0 if same else 1.0, 0.0, True, n_eff=reps, details=details)]
 
 
 def _test_tree_profile_direct(cfg, seed):
@@ -456,14 +394,14 @@ def _test_tree_profile_direct(cfg, seed):
     task = partial(_tree_batch_task, n_plus_1=n_plus_1, k_hi=2, n_trees=1)
     # a tree of n + 1 vertices is the exp(1) process at time ln n
     t = math.log(n_plus_1 - 1)
-    return _unit_fraction_entries(cfg, seed, "tree_profile_direct", 0.15, False, details, task, t)
+    return _unit_fraction_entries(cfg, seed, 0.15, False, details, task, t)
 
 
 _REGISTRY = (
     ("cov_closed_form", _test_cov_closed_form),
     ("embedding_ks", _test_embedding_ks),
-    ("cmj_clt_exp", partial(_test_cmj_clt, label="cmj_clt_exp", descriptor="exp(1)")),
-    ("cmj_clt_gamma", partial(_test_cmj_clt, label="cmj_clt_gamma", descriptor="gamma(2,2)")),
+    ("cmj_clt_exp", partial(_test_cmj_clt, "exp(1)")),
+    ("cmj_clt_gamma", partial(_test_cmj_clt, "gamma(2,2)")),
     ("functional_grid_exp", _test_functional_grid_exp),
     ("profile_small_n_tv", _test_profile_small_n_tv),
     ("level1_moments", _test_level1_moments),
@@ -487,6 +425,10 @@ def verify_suite(cfg: VerifyConfig) -> dict:
     results, summary); wall time, each group's wall time and the worker
     count live outside the hash. With cfg.workers > 1 every group runs in
     one worker pool, shut down when the run ends.
+
+    A group is named only by its _REGISTRY key, the key of group_wall_s:
+    its entries enter the manifest as "<group>.<name>", or as the one
+    "<group>.skipped" when it raises BranchLabError or MemoryError.
     """
     started = time.monotonic()
     # scipy (about 0.5 s) loads here, not in the first group that calls it, so
@@ -501,18 +443,11 @@ def verify_suite(cfg: VerifyConfig) -> dict:
             test_seed = mix64(cfg.master_seed, ordinal)
             group_started = time.monotonic()
             try:
-                results.extend(fn(cfg, test_seed))
+                entries = fn(cfg, test_seed)
             except (BranchLabError, MemoryError) as exc:
-                results.append(
-                    _entry(
-                        f"{group}.skipped",
-                        None,
-                        None,
-                        True,
-                        skipped=True,
-                        details={"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                )
+                error = {"error": f"{type(exc).__name__}: {exc}"}
+                entries = [_entry("skipped", None, None, True, details=error)]
+            results.extend({**e, "name": f"{group}.{e['name']}"} for e in entries)
             group_wall_s[group] = time.monotonic() - group_started
     gating = [r for r in results if r["gating"]]
     summary = {

@@ -485,7 +485,7 @@ def _decomposition_remainders(traj, table, k, t):
     """
     s1 = traj.times[0][traj.times[0] <= t]
     shot = float(np.sum(table.interp(k - 1, t - s1)))
-    mu = traj.dist.mu
+    mu = table.dist.mu
     y1 = count_generation(traj, k, t) - shot
     y3 = table.integral(k - 1, t) / mu - t**k / (math.factorial(k) * mu**k)
     return y1, y3

@@ -90,7 +90,6 @@ def _chunk_spanning_shapes():
     return {
         "uniform": uniform,
         "uniform as int64": uniform.astype(np.int64),
-        "uniform as float64": uniform.astype(np.float64),
         "path": np.arange(-1, V - 1, dtype=np.int64),  # deepest level in the last chunk only
         "star": np.r_[-1, np.zeros(V - 1, dtype=np.int64)],
         "chains": chains,
@@ -128,6 +127,29 @@ def test_depths_reject_trees_out_of_recursive_order():
     parent[_DEPTH_CHUNK + 6] = 0
     with pytest.raises(ValueError):
         depths_from_parents(parent)
+
+
+def test_depths_take_a_list_of_parents():
+    d = depths_from_parents([-1, 0])
+    assert d.dtype == np.int32
+    assert d.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        [-1, 0.5, 1.9],  # would truncate to the tree [-1, 0, 1]
+        np.array(["-1", "0"]),
+        np.array([[-1, 0], [-1, 0]]),
+        generate_rrt(3 * _DEPTH_CHUNK + 123, RngStream(9, 0)).parent.astype(np.float64),
+    ],
+    ids=["fractional", "strings", "2-d", "float64 across chunks"],
+)
+def test_depths_refuse_parents_that_are_not_a_1d_integer_array(parent):
+    with pytest.raises(ValueError, match="1-d integer array"):
+        depths_from_parents(parent)
+    with pytest.raises(ValueError, match="1-d integer array"):
+        profile(RecursiveTree(parent))
 
 
 def test_depths_reject_parents_that_are_not_a_tree():

@@ -19,13 +19,15 @@ from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
 # grow_and_record's snapshot cells (grid points times levels): 2**20 of them
-# take about 1.7 s and 120 MB through the profile-path CSV, start-up
-# included (2 cores).
+# take about 1.1-1.6 s and 87 MB through the profile-path CSV at n_base
+# 10**7 (one grid point, k_max 2**20), start-up included (2 cores).
 MAX_PATH_CELLS = 2**20
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences
 
-_DRAW_BLOCK = 1 << 20  # parent draws per block in generate_rrt
+# parent draws per block in generate_rrt: its int64 bounds and draws take
+# 1 MB a block
+_DRAW_BLOCK = 1 << 16
 _DEPTH_CHUNK = 1 << 16  # vertices per chunk in depths_from_parents
 
 
@@ -34,8 +36,8 @@ class RecursiveTree:
     """Flat-array recursive tree; parent[0] is -1 and parent[i] < i.
 
     The samplers fill parent as int32: every index lies below
-    MAX_TREE_VERTICES = 2**27 < 2**31, and 4-byte entries halve what a
-    tree at the cap holds.
+    MAX_TREE_VERTICES = 2**27 < 2**31. With the one-byte depths of
+    depths_from_parents, a tree at the cap holds about 5 bytes per vertex.
     """
 
     parent: np.ndarray
@@ -76,9 +78,12 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     prefix in one gather. The rest have their parent inside the chunk:
     pointer jumping (list ranking) over just those vertices sums the edges
     up to the first ancestor already resolved, so a chunk takes about
-    log2 of its longest in-chunk chain passes. Depths go straight into
-    the int32 result (a depth is below V <= MAX_TREE_VERTICES < 2**31)
-    and every work array is at most chunk-sized.
+    log2 of its longest in-chunk chain passes. The chunk is worked in
+    int32 arrays (a depth is below V <= MAX_TREE_VERTICES < 2**31), none
+    longer than the chunk. The result is uint8 while every depth is at
+    most 254, which holds for any uniform tree up to the cap (height about
+    e ln V), so reading depth + 1 off the prefix cannot wrap; the first
+    chunk whose depths pass 254 widens it once to int32.
     parent must be a 1-d integer array (ValueError otherwise). parent[0]
     is ignored; any other parent[i] outside 0..i-1 raises ValueError, so
     a tree must be listed in recursive order.
@@ -89,31 +94,32 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     V = parent.shape[0]
     if V > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
-    depth = np.zeros(V, dtype=np.int32)
+    depth = np.zeros(V, dtype=np.uint8)
     for lo in range(1, V, _DEPTH_CHUNK):
         hi = min(lo + _DEPTH_CHUNK, V)
         p = parent[lo:hi].astype(np.intp, copy=False)
         _check_parents(p, lo)
-        d = depth[lo:hi]
-        np.add(depth[p], 1, out=d)  # final wherever the parent lies below lo
+        d = np.add(depth[p], 1, dtype=np.int32)  # final wherever the parent lies below lo
         inside = np.flatnonzero(p >= lo)
-        if not inside.size:
-            continue
-        # jump slot 0 is a resolved sentinel (value 0, points at itself);
-        # slot j + 1 holds inside[j], valued 1 + its parent's depth if that
-        # parent is resolved, else 1
-        up = p[inside] - lo
-        slot = np.zeros(hi - lo, dtype=np.intp)
-        slot[inside] = np.arange(1, inside.size + 1)
-        d[inside] = 0
-        val = np.zeros(inside.size + 1, dtype=np.int32)
-        nxt = np.zeros(inside.size + 1, dtype=np.intp)
-        val[1:] = d[up] + 1
-        nxt[1:] = slot[up]
-        while nxt.any():
-            val += val[nxt]
-            nxt = nxt[nxt]
-        d[inside] = val[1:]
+        if inside.size:
+            # jump slot 0 is a resolved sentinel (value 0, points at itself);
+            # slot j + 1 holds inside[j], valued 1 + its parent's depth if
+            # that parent is resolved, else 1
+            up = p[inside] - lo
+            slot = np.zeros(hi - lo, dtype=np.intp)
+            slot[inside] = np.arange(1, inside.size + 1)
+            d[inside] = 0
+            val = np.zeros(inside.size + 1, dtype=np.int32)
+            nxt = np.zeros(inside.size + 1, dtype=np.intp)
+            val[1:] = d[up] + 1
+            nxt[1:] = slot[up]
+            while nxt.any():
+                val += val[nxt]
+                nxt = nxt[nxt]
+            d[inside] = val[1:]
+        if depth.dtype == np.uint8 and d.max() > 254:
+            depth = depth.astype(np.int32)
+        depth[lo:hi] = d
     return depth
 
 
@@ -136,13 +142,15 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
 def profile(tree: RecursiveTree) -> ProfileVector:
     """Level occupancy counts of the whole tree.
 
-    Raises ValueError for an empty parent array: a tree has its root.
+    Counts the depths of depths_from_parents, one byte each for any
+    uniform tree up to the cap, without widening them. Raises ValueError
+    for an empty parent array: a tree has its root.
     """
     depth = depths_from_parents(tree.parent)
     if not depth.size:
         raise ValueError("a tree has at least its root vertex")
     counts = np.zeros(int(depth.max()) + 1, dtype=np.int64)
-    # unlike bincount, add.at reads the int32 depths without an intp copy of them all
+    # unlike bincount, add.at reads the narrow depths without an intp copy of them all
     np.add.at(counts, depth, 1)
     return ProfileVector(counts)
 
@@ -165,25 +173,6 @@ def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.nd
     return rng.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))
 
 
-def _level_masks(parents: np.ndarray, k_max: int):
-    """Yield the level-k masks of vertices 1..V-1 for k = 1..k_max.
-
-    parents holds the parents of vertices 1..V-1 along its last axis: one
-    tree, or one tree per row. Level 1 is the children of the root; the
-    level-k mask is the level-(k-1) mask gathered through the parent array.
-    The walk stops at the first empty level.
-    """
-    mask = np.zeros(parents.shape[:-1] + (parents.shape[-1] + 1,), dtype=bool)
-    child = parents == 0
-    for k in range(k_max):
-        if k:
-            mask[..., 1:] = child
-            child = np.take_along_axis(mask, parents, axis=-1)
-        if not child.any():
-            return
-        yield child
-
-
 def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
     """Counts at levels 1..k_max for every row of a parent matrix.
 
@@ -201,8 +190,18 @@ def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
         )
     _check_parents(parents, 1)
     out = np.zeros((parents.shape[0], k_max), dtype=np.int64)
-    for k, mask in enumerate(_level_masks(parents, k_max), start=1):
-        out[:, k - 1] = np.count_nonzero(mask, axis=1)
+    # level 1 is the children of the root; the level-k mask is the
+    # level-(k-1) mask gathered through the parent matrix. The walk stops
+    # at the first empty level.
+    mask = np.zeros((parents.shape[0], parents.shape[1] + 1), dtype=bool)
+    child = parents == 0
+    for k in range(k_max):
+        if k:
+            mask[:, 1:] = child
+            child = np.take_along_axis(mask, parents, axis=1)
+        if not child.any():
+            break
+        out[:, k] = np.count_nonzero(child, axis=1)
     return out
 
 
@@ -223,7 +222,11 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     """Grow one tree and snapshot levels 1..k_max at sizes floor(n_base**t).
 
     The same realization is used for every snapshot: the size-s prefix of
-    the final parent array is the tree after s vertices were attached.
+    the final parent array is the tree after s vertices were attached, so
+    the level-k count at size s is the number of level-k vertices below
+    index s. The parents are dropped once depths_from_parents has their
+    depths; then each level up to min(k_max, height) is one scan of the
+    depths.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -253,11 +256,11 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     if total > MAX_TREE_VERTICES:
         raise CapExceededError(f"final tree size {total} exceeds the cap {MAX_TREE_VERTICES}")
 
-    tree = generate_rrt(total, rng)
+    depth = depths_from_parents(generate_rrt(total, rng).parent)
     values = np.zeros((t_grid.size, k_max), dtype=np.int64)
-    for k, mask in enumerate(_level_masks(tree.parent[1:], k_max), start=1):
+    for k in range(1, min(k_max, int(depth.max())) + 1):
         # vertices at level k, in insertion order
-        values[:, k - 1] = np.searchsorted(np.flatnonzero(mask) + 1, sizes, side="left")
+        values[:, k - 1] = np.searchsorted(np.flatnonzero(depth == k), sizes, side="left")
     return ProfilePath(t_grid, sizes, values)
 
 

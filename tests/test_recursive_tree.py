@@ -58,17 +58,21 @@ def test_profile_counts_sum_to_size():
 
 
 def test_depths_match_naive_walk():
-    parents = [generate_rrt(64, RngStream(seed, 2)).parent for seed in range(4)]
-    parents.append(np.arange(-1, 99, dtype=np.int64))  # path: height V-1, the most passes
-    parents.append(np.r_[-1, np.zeros(99, dtype=np.int64)])  # star
-    parents.append(np.array([-1], dtype=np.int64))
-    parents.append(np.array([-1, 0], dtype=np.int64))
-    for parent in parents:
+    parents = [(generate_rrt(64, RngStream(seed, 2)).parent, np.uint8) for seed in range(4)]
+    # path: height V-1, the most passes
+    parents.append((np.arange(-1, 99, dtype=np.int64), np.uint8))
+    parents.append((np.r_[-1, np.zeros(99, dtype=np.int64)], np.uint8))  # star
+    parents.append((np.array([-1], dtype=np.int64), np.uint8))
+    parents.append((np.array([-1, 0], dtype=np.int64), np.uint8))
+    # the widening boundary: height 254 still fits a byte, height 255 does not
+    parents.append((np.arange(-1, 254, dtype=np.int64), np.uint8))
+    parents.append((np.arange(-1, 255, dtype=np.int64), np.int32))
+    for parent, dtype in parents:
         d = depths_from_parents(parent)
         naive = np.zeros(parent.shape[0], dtype=np.int64)
         for i in range(1, parent.shape[0]):
             naive[i] = naive[parent[i]] + 1
-        assert d.dtype == np.int32
+        assert d.dtype == dtype, parent.shape[0]
         assert np.array_equal(d, naive)
 
 
@@ -87,6 +91,10 @@ def _chunk_spanning_shapes():
     relay = np.arange(-1, V - 1, dtype=np.int64)
     relay[starts[1:]] = starts[1:] - _DEPTH_CHUNK // 2  # chains hung mid-chain
     uniform = generate_rrt(V, RngStream(9, 0)).parent
+    # a star for two chunks, then a 300-long chain in the third: the depths
+    # widen after a uint8 prefix is already filled
+    late_deep = np.r_[-1, np.zeros(2 * _DEPTH_CHUNK, dtype=np.int64),
+                      np.arange(2 * _DEPTH_CHUNK, 2 * _DEPTH_CHUNK + 300)]
     return {
         "uniform": uniform,
         "uniform as int64": uniform.astype(np.int64),
@@ -94,14 +102,16 @@ def _chunk_spanning_shapes():
         "star": np.r_[-1, np.zeros(V - 1, dtype=np.int64)],
         "chains": chains,
         "relay": relay,
+        "late deep": late_deep,
         "root alone": np.array([-1], dtype=np.int64),
     }
 
 
 def test_depths_match_naive_walk_across_chunks():
+    deep = {"path", "chains", "relay", "late deep"}  # heights past 254
     for name, parent in _chunk_spanning_shapes().items():
         d = depths_from_parents(parent)
-        assert d.dtype == np.int32, name
+        assert d.dtype == (np.int32 if name in deep else np.uint8), name
         assert np.array_equal(d, _naive_depths(parent)), name
 
 
@@ -131,7 +141,7 @@ def test_depths_reject_trees_out_of_recursive_order():
 
 def test_depths_take_a_list_of_parents():
     d = depths_from_parents([-1, 0])
-    assert d.dtype == np.int32
+    assert d.dtype == np.uint8
     assert d.tolist() == [0, 1]
 
 
@@ -177,21 +187,30 @@ def test_depths_peak_memory_stays_below_twice_the_input():
     assert peak <= 2 * parent.nbytes
 
 
-_PROFILE_PROBE = """
-from branchlab.recursive_tree import generate_rrt, profile
+_DEPTH_PASS_PROBE = """
+from branchlab.recursive_tree import generate_rrt, grow_and_record, profile
 from branchlab.rng import RngStream
 with open("/proc/self/status") as f:
     print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) // 1024)
-profile(generate_rrt(2**22, RngStream(0, 0)))
+{call}
 """
 
 
-def test_profile_holds_four_bytes_per_vertex_for_parents_and_depths(fresh_peak_mb):
-    # above the peak after imports, the int32 parent and depth arrays take
-    # 32 MB at 2**22 vertices and the run 36 MB; an int64 parent or depth
-    # array, or a bincount copying the depths to intp, each added 16-32 MB
-    (imported,), peak = fresh_peak_mb(_PROFILE_PROBE)
-    assert peak - int(imported) < 44
+@pytest.mark.parametrize(
+    "call",
+    [
+        "profile(generate_rrt(2**22, RngStream(0, 0)))",
+        "grow_and_record(2**22, (0.5, 1.0), 3, RngStream(0, 0))",
+    ],
+    ids=["profile", "grow_and_record"],
+)
+def test_depth_pass_holds_one_byte_of_depth_per_vertex(fresh_peak_mb, call):
+    # above the peak after imports, the int32 parents and uint8 depths take
+    # 20 MB at 2**22 vertices and each run 23 MB; an int32 depth array
+    # would read 36 MB (profile), V-long level masks and 16 MB draw blocks
+    # 32 MB (grow_and_record)
+    (imported,), peak = fresh_peak_mb(_DEPTH_PASS_PROBE.format(call=call))
+    assert peak - int(imported) < 28
 
 
 def test_blockwise_parent_draws_equal_one_full_draw():
@@ -325,9 +344,16 @@ def test_grow_and_record_snapshots():
     assert path.values[0].tolist() == [0, 0, 0]
     # level counts only grow with the tree
     assert np.all(np.diff(path.values, axis=0) >= 0)
-    # every snapshot is the level count of a prefix of the final tree; the
-    # second input has a size-1 snapshot and levels past the tree's height
-    for n_base, grid, k_max, seed in ((100, t_grid, 3, 23), (3, (0.0, 0.5, 1.0, 2.0), 5, 4)):
+    # every snapshot is the level count of a prefix of the final tree. The
+    # second input spans depth chunks (90 000 vertices), and its first
+    # snapshots are shallower than k_max; the third has a size-1 snapshot
+    # and levels past the final tree's height
+    cases = (
+        (100, t_grid, 3, 23),
+        (300, (0.0, 0.5, 1.0, 1.5, 2.0), 12, 8),
+        (3, (0.0, 0.5, 1.0, 2.0), 5, 4),
+    )
+    for n_base, grid, k_max, seed in cases:
         path = grow_and_record(n_base, np.array(grid), k_max, RngStream(seed, 0))
         parent = generate_rrt(int(path.sizes[-1]), RngStream(seed, 0)).parent
         for size, values in zip(path.sizes.tolist(), path.values):

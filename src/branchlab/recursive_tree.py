@@ -81,9 +81,9 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     log2 of its longest in-chunk chain passes. The chunk is worked in
     int32 arrays (a depth is below V <= MAX_TREE_VERTICES < 2**31), none
     longer than the chunk. The result is uint8 while every depth is at
-    most 254, which holds for any uniform tree up to the cap (height about
-    e ln V), so reading depth + 1 off the prefix cannot wrap; the first
-    chunk whose depths pass 254 widens it once to int32.
+    most 254, so reading depth + 1 off the prefix cannot wrap; a uniform
+    tree's height, about e ln V (51 at the cap), stays far below that.
+    The first chunk whose depths pass 254 widens the result once to int32.
     parent must be a 1-d integer array (ValueError otherwise). parent[0]
     is ignored; any other parent[i] outside 0..i-1 raises ValueError, so
     a tree must be listed in recursive order.
@@ -142,9 +142,9 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
 def profile(tree: RecursiveTree) -> ProfileVector:
     """Level occupancy counts of the whole tree.
 
-    Counts the depths of depths_from_parents, one byte each for any
-    uniform tree up to the cap, without widening them. Raises ValueError
-    for an empty parent array: a tree has its root.
+    Counts the depths of depths_from_parents, one byte each for a uniform
+    tree, without widening them. Raises ValueError for an empty parent
+    array: a tree has its root.
     """
     depth = depths_from_parents(tree.parent)
     if not depth.size:

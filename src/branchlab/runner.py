@@ -7,12 +7,18 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .rng import RngStream
+
+# replicates in one map_replicated call; the registry's largest call has
+# 2000, and 2**20 replicates of a two-draw task take about 16 s serially
+# (2 cores)
+MAX_REPLICATES = 2**20
 
 # the pool a shared_pool block keeps open, else None
 _shared = None
@@ -51,10 +57,15 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
     four chunks per process, for min(workers, n_reps, cpu count)
     processes, and maps them on the pool of an enclosing shared_pool block,
     or else on a pool of that many processes of its own. Returns the
-    stacked numpy array of results.
+    stacked numpy array of results. Raises ValueError, before any task runs
+    or pool starts, unless n_reps is an integer in 1..MAX_REPLICATES and
+    workers an integer >= 1.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    for name, value in (("n_reps", n_reps), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+    if not 1 <= n_reps <= MAX_REPLICATES:
+        raise ValueError(f"n_reps must lie in 1..{MAX_REPLICATES}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1:

@@ -234,6 +234,20 @@ def test_level_counts_batch_matches_per_tree_profiles():
             assert batch[r, k - 1] == np.count_nonzero(d == k)
 
 
+@pytest.mark.parametrize("rows, n_plus_1", [(1, 3000), (2, 700), (200, 60)])
+def test_level_counts_batch_matches_one_row_at_a_time(rows, n_plus_1):
+    parents = generate_parent_matrix(rows, n_plus_1, RngStream(rows, 4))
+    for k_max in (1, 2, 40):
+        want = np.zeros((rows, k_max), dtype=np.int64)
+        for r in range(rows):
+            counts = np.bincount(depths_from_parents(np.concatenate(([-1], parents[r]))))
+            levels = counts[1 : k_max + 1]
+            want[r, : levels.shape[0]] = levels
+        assert want[:, -1].any() == (k_max < 40)  # 40 levels pass every height
+        for dtype in (np.int32, np.int64, np.uint64):
+            assert np.array_equal(level_counts_batch(parents.astype(dtype), k_max), want)
+
+
 def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch):
     monkeypatch.setattr(recursive_tree, "MAX_TREE_VERTICES", 100)
     rng = RngStream(5, 1)

@@ -62,6 +62,38 @@ def test_argument_validation():
 
 
 @pytest.mark.parametrize(
+    "n_reps, workers",
+    [
+        (6, 1),  # past the cap, set to 5 here
+        (2**40, 1),
+        (2**40, 2),
+        (2.0, 1),
+        (1.5, 2),
+        (float("nan"), 1),
+        (True, 1),
+        ("3", 1),
+        (3, 2.0),
+        (3, float("inf")),
+        (3, True),
+    ],
+)
+def test_bad_counts_are_refused_before_any_task_or_pool(monkeypatch, n_reps, workers):
+    monkeypatch.setattr(runner, "MAX_REPLICATES", 5)
+    started, ran = [], []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", started.append)
+
+    def task(rng):
+        ran.append(rng)
+        return rng.random(2)
+
+    with pytest.raises(ValueError):
+        runner.map_replicated(task, n_reps, 1, workers=workers)
+    assert started == ran == []
+    assert runner.map_replicated(task, np.int64(5), 1).shape == (5, 2)  # at the cap
+    assert len(ran) == 5
+
+
+@pytest.mark.parametrize(
     "group",
     [
         "embedding_ks",

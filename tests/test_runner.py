@@ -78,6 +78,7 @@ def test_argument_validation():
     ],
 )
 def test_bad_counts_are_refused_before_any_task_or_pool(monkeypatch, n_reps, workers):
+    assert 2000 <= runner.MAX_REPLICATES < 2**40  # the registry's largest call fits
     monkeypatch.setattr(runner, "MAX_REPLICATES", 5)
     started, ran = [], []
     monkeypatch.setattr(runner, "ProcessPoolExecutor", started.append)

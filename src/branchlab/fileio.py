@@ -4,9 +4,9 @@ CSV writers for every exportable object plus the run-manifest JSON.
 Floats are printed with 17 significant digits so a written value parses
 back to the identical double. CSV rows stream in blocks into a temporary
 file next to the target, which is renamed into place, so readers never
-observe a partially written artifact. Rows of integer columns only (the
-tree CSV) are formatted in numpy, byte for byte as Python's "%d" prints
-them; every other row goes through the % operator.
+observe a partially written artifact. The tree CSV, whose rows are
+integers only, is formatted in numpy, byte for byte as Python's "%d"
+prints it; every other CSV goes through the % operator.
 """
 from __future__ import annotations
 
@@ -93,41 +93,34 @@ def _int_rows(columns) -> str:
 def _write_csv(path, header: str, fmt: str, blocks) -> None:
     """Write the header line, then fmt % row for each row of each block.
 
-    blocks yields tuples of equal-length 1-d column arrays. When every field
-    of fmt is %d and every column of a block has an integer dtype, _int_rows
-    formats that block; floats, strings and objects take the % operator.
+    blocks yields tuples of equal-length 1-d column arrays.
     """
-    ints = set(fmt.split(",")) == {"%d"}
     with _atomic_file(path) as f:
         f.write(header + "\n")
         for columns in blocks:
             width, n = len(columns), len(columns[0])
             step = max(1, _BLOCK_CELLS // width)
-            by_numpy = ints and all(c.dtype.kind in "iu" for c in columns)
             for lo in range(0, n, step):
-                piece = [c[lo : lo + step] for c in columns]
-                if by_numpy:
-                    f.write(_int_rows(piece))
-                    continue
                 # one format over the piece's cells in row order: no tuple or string per row
-                cells = [None] * (len(piece[0]) * width)
-                for j, c in enumerate(piece):
-                    cells[j::width] = c.tolist()
-                f.write((fmt + "\n") * len(piece[0]) % tuple(cells))
+                cells = [None] * (min(step, n - lo) * width)
+                for j, c in enumerate(columns):
+                    cells[j::width] = c[lo : lo + step].tolist()
+                f.write((fmt + "\n") * (len(cells) // width) % tuple(cells))
 
 
 def write_tree_csv(path, tree: RecursiveTree) -> None:
     """One row per non-root vertex: vertex,parent.
 
-    The vertex column is made one block at a time, never for the whole tree.
+    _int_rows formats the rows a block at a time; the vertex column is made
+    per block, never for the whole tree.
     """
     parent = tree.parent
     step = max(1, _BLOCK_CELLS // 2)
-    blocks = (
-        (np.arange(lo, min(lo + step, parent.shape[0])), parent[lo : lo + step])
-        for lo in range(1, parent.shape[0], step)
-    )
-    _write_csv(path, "vertex,parent", "%d,%d", blocks)
+    with _atomic_file(path) as f:
+        f.write("vertex,parent\n")
+        for lo in range(1, parent.shape[0], step):
+            hi = min(lo + step, parent.shape[0])
+            f.write(_int_rows((np.arange(lo, hi), parent[lo:hi])))
 
 
 def write_profile_path_csv(path, profile_path: ProfilePath) -> None:

@@ -139,35 +139,20 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
     return RecursiveTree(parent)
 
 
-def _level_tally(depth: np.ndarray, sizes, k_max: int) -> np.ndarray:
-    """counts[i, k]: the vertices at level k among the first sizes[i], for
-    levels 0..k_max; sizes must be nondecreasing.
-
-    The depths are read once. Each segment between consecutive sizes is
-    added to a running tally with np.add.at, which, unlike bincount, reads
-    the narrow depths without an intp copy of them.
-    """
-    tally = np.zeros(max(int(depth.max()), k_max) + 1, dtype=np.int64)
-    counts = np.empty((len(sizes), k_max + 1), dtype=np.int64)
-    lo = 0
-    for i, hi in enumerate(sizes):
-        np.add.at(tally, depth[lo:hi], 1)
-        counts[i] = tally[: k_max + 1]
-        lo = hi
-    return counts
-
-
 def profile(tree: RecursiveTree) -> ProfileVector:
     """Level occupancy counts of the whole tree.
 
-    Tallies the depths of depths_from_parents, one byte each for a uniform
-    tree, in one pass. Raises ValueError for an empty parent array: a tree
-    has its root.
+    Counts the depths of depths_from_parents, one byte each for a uniform
+    tree, without widening them. Raises ValueError for an empty parent
+    array: a tree has its root.
     """
     depth = depths_from_parents(tree.parent)
     if not depth.size:
         raise ValueError("a tree has at least its root vertex")
-    return ProfileVector(_level_tally(depth, (depth.size,), int(depth.max()))[0])
+    counts = np.zeros(int(depth.max()) + 1, dtype=np.int64)
+    # unlike bincount, add.at reads the narrow depths without an intp copy of them all
+    np.add.at(counts, depth, 1)
+    return ProfileVector(counts)
 
 
 def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.ndarray:
@@ -244,8 +229,8 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     the final parent array is the tree after s vertices were attached, so
     the level-k count at size s is the number of level-k vertices below
     index s. The parents are dropped once depths_from_parents has their
-    depths; then one pass over the depths tallies the levels of each
-    segment between consecutive snapshot sizes.
+    depths; then each level up to min(k_max, height) is one scan of the
+    depths.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -276,7 +261,11 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
         raise CapExceededError(f"final tree size {total} exceeds the cap {MAX_TREE_VERTICES}")
 
     depth = depths_from_parents(generate_rrt(total, rng).parent)
-    return ProfilePath(t_grid, sizes, _level_tally(depth, sizes, k_max)[:, 1:])
+    values = np.zeros((t_grid.size, k_max), dtype=np.int64)
+    for k in range(1, min(k_max, int(depth.max())) + 1):
+        # vertices at level k, in insertion order
+        values[:, k - 1] = np.searchsorted(np.flatnonzero(depth == k), sizes, side="left")
+    return ProfilePath(t_grid, sizes, values)
 
 
 def exact_profile_distribution(n_plus_1: int) -> dict[tuple[int, ...], float]:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .rng import RngStream
 
-# replicates in one map_replicated call; the registry's largest call has
-# 2000, and 2**20 replicates of a two-draw task take about 16 s serially
-# (2 cores)
+# replicates, so tasks run and results held, in one map_replicated call;
+# the registry's largest call has 2000
 MAX_REPLICATES = 2**20
 
 # the pool a shared_pool block keeps open, else None

@@ -358,55 +358,31 @@ def test_writer_failing_mid_stream_keeps_the_old_target(tmp_path, monkeypatch):
 _INT_EDGES = [0, 1, -1, 9, -9, 10, -10, 99, -99, *(s * 10**e for e in range(19) for s in (1, -1))]
 
 
-def _spy_int_rows(monkeypatch):
-    """Count the blocks the numpy integer path formats."""
-    calls, int_rows = [], fileio._int_rows
-
-    def spy(columns):
-        calls.append(len(columns[0]))
-        return int_rows(columns)
-
-    monkeypatch.setattr(fileio, "_int_rows", spy)
-    return calls
-
-
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64])
-def test_integer_rows_match_percent_d_text(tmp_path, monkeypatch, dtype):
+def test_integer_rows_match_percent_d_text(dtype):
     info = np.iinfo(dtype)
     ends = [info.min, info.min + 1, info.max - 1, info.max]
     values = [v for v in _INT_EDGES if info.min <= v <= info.max] + ends
     first = np.array(values, dtype=dtype)
     columns = (first, first[::-1].copy(), np.arange(first.shape[0]))
-    rows = zip(*(c.tolist() for c in columns))
-    expected = "x,y,i\n" + "".join("%d,%d,%d\n" % row for row in rows)
-    calls = _spy_int_rows(monkeypatch)
-    empty = tuple(c[:0] for c in columns)
-    for cells in (fileio._BLOCK_CELLS, 5):  # whole, then pieces of one row
+    rows = list(zip(*(c.tolist() for c in columns)))
+    expected = "".join("%d,%d,%d\n" % row for row in rows)
+    assert fileio._int_rows(columns) == expected
+    # one row at a time, each as wide as its own widest value
+    pieces = [fileio._int_rows(tuple(c[i : i + 1] for c in columns)) for i in range(len(rows))]
+    assert "".join(pieces) == expected
+    assert fileio._int_rows((first,)) == "".join("%d\n" % v for v in values)
+
+
+@pytest.mark.parametrize("n_plus_1", [1, 2, 10, 11, 3001])
+def test_tree_csv_matches_percent_d_text(tmp_path, monkeypatch, n_plus_1):
+    tree = generate_rrt(n_plus_1, RngStream(n_plus_1, 0))
+    rows = zip(range(1, n_plus_1), tree.parent[1:].tolist())
+    expected = "vertex,parent\n" + "".join("%d,%d\n" % row for row in rows)
+    for cells in (fileio._BLOCK_CELLS, 5):  # whole, then blocks of two rows
         monkeypatch.setattr(fileio, "_BLOCK_CELLS", cells)
-        fileio._write_csv(tmp_path / "ints.csv", "x,y,i", "%d,%d,%d", [columns, empty])
-        assert (tmp_path / "ints.csv").read_bytes() == expected.encode("ascii")
-    assert calls == [len(values)] + [1] * len(values)
-    # two columns in pieces of two rows, each as wide as its own widest value
-    pairs = (first, first[::-1].copy())
-    fileio._write_csv(tmp_path / "pairs.csv", "x,y", "%d,%d", [pairs])
-    text = "".join("%d,%d\n" % row for row in zip(first.tolist(), first[::-1].tolist()))
-    assert (tmp_path / "pairs.csv").read_text() == "x,y\n" + text
-    assert calls[len(values) + 1 :] == [2] * (len(values) // 2) + [1] * (len(values) % 2)
-
-
-def test_float_string_and_object_rows_keep_the_percent_operator(tmp_path, monkeypatch):
-    calls = _spy_int_rows(monkeypatch)
-    table = build_renewal_table(make_distribution("gamma(2,2)"), 3.0, h=0.1, k_max=3)
-    write_renewal_table_csv(tmp_path / "table.csv", table)
-    write_trajectory_csv(tmp_path / "traj.csv", simulate_cmj(make_distribution("exp(1)"), 6.0, 2,
-                                                             RngStream(3, 0)))
-    write_cov_csv(tmp_path / "cov.csv", build_cov_matrix(2, (0.5, 1.0)))
-    flags = np.array([True, False])
-    fileio._write_csv(tmp_path / "flags.csv", "x", "%d", [(flags,)])
-    assert (tmp_path / "flags.csv").read_text() == "x\n1\n0\n"
-    assert calls == []
-    write_tree_csv(tmp_path / "tree.csv", generate_rrt(50, RngStream(1, 0)))
-    assert calls == [49]
+        write_tree_csv(tmp_path / "tree.csv", tree)
+        assert (tmp_path / "tree.csv").read_text() == expected
 
 
 def test_artifacts_get_the_umask_mode(tmp_path):
@@ -437,6 +413,7 @@ def test_tree_csv_streams_in_bounded_memory(tmp_path, fresh_peak_mb):
     # join at once 203 MB in all
     (imported,), peak = fresh_peak_mb(_GEN_TREE_PROBE, tmp_path)
     assert peak - int(imported) < 18
+    assert peak < 150
 
 
 _CMJ_PROBE = """

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ MAX_PATH_CELLS = 2**20
 
 _ENUM_LIMIT = 9  # largest vertex count enumerated exactly: 8! sequences
 
-# parent draws per block in generate_rrt: its int64 bounds and draws take
+# parent draws per block in _parent_blocks: its int64 bounds and draws take
 # 1 MB a block
 _DRAW_BLOCK = 1 << 16
 _DEPTH_CHUNK = 1 << 16  # vertices per chunk in depths_from_parents
@@ -63,42 +65,62 @@ class ProfilePath:
     values: np.ndarray
 
 
-def _check_parents(parents: np.ndarray, first: int) -> None:
-    """Refuse parents[..., j] outside 0..i-1, where i = first + j is its vertex."""
+def _check_parents(parents: np.ndarray, first: int) -> np.ndarray:
+    """parents, once parents[..., j] is checked to lie in 0..i-1 with i = first + j.
+
+    Raises ValueError otherwise.
+    """
     i = np.arange(first, first + parents.shape[-1])
     if parents.size and (parents.min() < 0 or np.any(parents >= i)):
         raise ValueError("parent of vertex i >= 1 must lie in 0..i-1")
+    return parents
 
 
-def depths_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex, root = 0, resolved in recursive order.
+def _parent_blocks(V: int, rng: RngStream):
+    """Yield (lo, parents of vertices lo..hi-1) as int64, one _DRAW_BLOCK at a time.
 
-    Vertices are taken in chunks [lo, hi) of at most _DEPTH_CHUNK. Every
-    vertex whose parent lies below lo reads its depth off the finished
-    prefix in one gather. The rest have their parent inside the chunk:
-    pointer jumping (list ranking) over just those vertices sums the edges
-    up to the first ancestor already resolved, so a chunk takes about
-    log2 of its longest in-chunk chain passes. The chunk is worked in
-    int32 arrays (a depth is below V <= MAX_TREE_VERTICES < 2**31), none
-    longer than the chunk. The result is uint8 while every depth is at
-    most 254, so reading depth + 1 off the prefix cannot wrap; a uniform
-    tree's height, about e ln V (51 at the cap), stays far below that.
-    The first chunk whose depths pass 254 widens the result once to int32.
-    parent must be a 1-d integer array (ValueError otherwise). parent[0]
-    is ignored; any other parent[i] outside 0..i-1 raises ValueError, so
-    a tree must be listed in recursive order.
+    The blocks consume the stream exactly as one full-length draw of the
+    V - 1 parents would.
     """
-    parent = np.asarray(parent)
-    if parent.ndim != 1 or not np.issubdtype(parent.dtype, np.integer):
-        raise ValueError("parent must be a 1-d integer array")
-    V = parent.shape[0]
-    if V > MAX_TREE_VERTICES:
-        raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
+    for lo in range(1, V, _DRAW_BLOCK):
+        yield lo, rng.integers(0, np.arange(lo, min(lo + _DRAW_BLOCK, V)))
+
+
+def _ahead(items):
+    """Yield the items of an iterable, making the next one on a helper thread meanwhile.
+
+    One helper thread makes one item at a time, in order, so the iterable
+    never runs on two threads at once. An exception raised while making an
+    item is raised here, and the helper is joined before this generator
+    ends, on an exception or a close() too.
+    """
+    it = iter(items)
+    end = object()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(next, it, end)
+        while (item := pending.result()) is not end:
+            pending = pool.submit(next, it, end)
+            yield item
+
+
+def _depths(V: int, blocks) -> np.ndarray:
+    """Depths of V vertices from their (lo, intp parents) blocks, taken in vertex order.
+
+    Every vertex whose parent lies below lo reads its depth off the
+    finished prefix in one gather. The rest have their parent inside the
+    block: pointer jumping (list ranking) over just those vertices sums the
+    edges up to the first ancestor already resolved, so a block takes about
+    log2 of its longest in-block chain passes. The block is worked in int32
+    arrays (a depth is below V <= MAX_TREE_VERTICES < 2**31), none longer
+    than the block. The result is uint8 while every depth is at most 254,
+    so reading depth + 1 off the prefix cannot wrap; a uniform tree's
+    height, about e ln V (51 at the cap), stays far below that. The first
+    block whose depths pass 254 widens the result once to int32. The
+    parents are taken as given: valid ones lie in 0..i-1.
+    """
     depth = np.zeros(V, dtype=np.uint8)
-    for lo in range(1, V, _DEPTH_CHUNK):
-        hi = min(lo + _DEPTH_CHUNK, V)
-        p = parent[lo:hi].astype(np.intp, copy=False)
-        _check_parents(p, lo)
+    for lo, p in blocks:
+        hi = lo + p.shape[0]
         d = np.add(depth[p], 1, dtype=np.int32)  # final wherever the parent lies below lo
         inside = np.flatnonzero(p >= lo)
         if inside.size:
@@ -123,19 +145,45 @@ def depths_from_parents(parent: np.ndarray) -> np.ndarray:
     return depth
 
 
+def depths_from_parents(parent: np.ndarray) -> np.ndarray:
+    """Depth of every vertex, root = 0, resolved in recursive order.
+
+    The vertices go to _depths in chunks [lo, hi) of at most _DEPTH_CHUNK,
+    each cast to intp and checked on the calling thread just before its
+    depths are resolved, so no intp copy of the whole array exists. The
+    result is uint8 while every depth is at most 254, else int32 (see
+    _depths). parent must be a 1-d integer array (ValueError otherwise).
+    parent[0] is ignored; any other parent[i] outside 0..i-1 raises
+    ValueError, so a tree must be listed in recursive order.
+    """
+    parent = np.asarray(parent)
+    if parent.ndim != 1 or not np.issubdtype(parent.dtype, np.integer):
+        raise ValueError("parent must be a 1-d integer array")
+    V = parent.shape[0]
+    if V > MAX_TREE_VERTICES:
+        raise CapExceededError(f"tree of {V} vertices exceeds the memory cap")
+    chunks = (
+        (lo, _check_parents(parent[lo:lo + _DEPTH_CHUNK].astype(np.intp, copy=False), lo))
+        for lo in range(1, V, _DEPTH_CHUNK)
+    )
+    return _depths(V, chunks)
+
+
 def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
-    """Sample a uniform random recursive tree with n_plus_1 vertices."""
+    """Sample a uniform random recursive tree with n_plus_1 vertices.
+
+    The parents are drawn by _parent_blocks, the one draw site of the
+    single-tree routes, and each int64 block is cast to int32 as it is
+    stored, so grow_and_record's tree on the same stream is this one.
+    """
     if n_plus_1 < 1:
         raise ValueError("vertex count must be >= 1")
     if n_plus_1 > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {n_plus_1} vertices exceeds the memory cap")
     parent = np.empty(n_plus_1, dtype=np.int32)
     parent[0] = -1
-    # blockwise draws consume the stream exactly as one full-length draw;
-    # each int64 block is cast on assignment
-    for lo in range(1, n_plus_1, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, n_plus_1)
-        parent[lo:hi] = rng.integers(0, np.arange(lo, hi))
+    for lo, p in _parent_blocks(n_plus_1, rng):
+        parent[lo:lo + p.shape[0]] = p
     return RecursiveTree(parent)
 
 
@@ -226,11 +274,13 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     """Grow one tree and snapshot levels 1..k_max at sizes floor(n_base**t).
 
     The same realization is used for every snapshot: the size-s prefix of
-    the final parent array is the tree after s vertices were attached, so
-    the level-k count at size s is the number of level-k vertices below
-    index s. The parents are dropped once depths_from_parents has their
-    depths; then each level up to min(k_max, height) is one scan of the
-    depths.
+    the final tree is the tree after s vertices were attached, so the
+    level-k count at size s is the number of level-k vertices below index
+    s. The parents are drawn exactly as generate_rrt draws them from rng,
+    one block at a time on a helper thread, while _depths resolves the
+    block before; each block is dropped once its depths are in, so no
+    parent array is ever held. Then each level up to min(k_max, height) is
+    one scan of the depths.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -260,7 +310,8 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     if total > MAX_TREE_VERTICES:
         raise CapExceededError(f"final tree size {total} exceeds the cap {MAX_TREE_VERTICES}")
 
-    depth = depths_from_parents(generate_rrt(total, rng).parent)
+    with closing(_ahead(_parent_blocks(total, rng))) as blocks:
+        depth = _depths(total, blocks)
     values = np.zeros((t_grid.size, k_max), dtype=np.int64)
     for k in range(1, min(k_max, int(depth.max())) + 1):
         # vertices at level k, in insertion order

@@ -7,6 +7,8 @@ draws no matter how work is scheduled or how many workers run.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -25,10 +27,14 @@ def mix64(*parts: int) -> int:
     """Avalanche-mix any number of integers into one well-spread 64-bit value.
 
     Deterministic, order sensitive, and stable across platforms; this is the
-    only seeding primitive used anywhere in the package.
+    only seeding primitive used anywhere in the package. A part that is not
+    an integer (numpy integers are), or is a bool, raises ValueError rather
+    than being truncated into some integer's stream.
     """
     acc = 0
     for p in parts:
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+            raise ValueError(f"seed parts must be integers, got {p!r}")
         acc = (acc + (int(p) & _MASK) + _GOLDEN) & _MASK
         acc = _splitmix(acc)
     return acc
@@ -38,7 +44,7 @@ class RngStream(np.random.Generator):
     """One independent, reproducible stream of randomness: a numpy Generator.
 
     Two instances built from equal (master_seed, stream_id) produce
-    byte-identical draw sequences.
+    byte-identical draw sequences; both must be integers (see mix64).
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):

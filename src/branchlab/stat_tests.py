@@ -112,19 +112,22 @@ def empirical_cov(samples):
 
     samples has one row per replicate. Returns (cov, se) where
     se[a, b] estimates the sampling error of entry (a, b) from the
-    fourth moments, sqrt((E[za^2 zb^2] - c_ab^2) / M).
+    fourth moments, sqrt((E[za^2 zb^2] - c_ab^2) / M). A sample that is
+    not finite, or whose moments leave the double range, raises ValueError.
     """
-    z = np.asarray(samples, dtype=float)
+    z = finite(lambda: np.asarray(samples, dtype=float), "a sample")
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("samples must be (n_reps, dim) with n_reps >= 2")
     m = z.shape[0]
-    zc = z - z.mean(axis=0)
-    cov = zc.T @ zc / (m - 1)
-    second = zc**2
-    m22 = second.T @ second / m
-    var_hat = np.maximum(m22 - cov**2, 0.0)
-    se = np.sqrt(var_hat / m)
-    return cov, se
+
+    def moments():
+        zc = z - z.mean(axis=0)
+        cov = zc.T @ zc / (m - 1)
+        second = zc**2
+        m22 = second.T @ second / m
+        return cov, np.sqrt(np.maximum(m22 - cov**2, 0.0) / m)
+
+    return finite(moments, "the sample covariance")
 
 
 def max_dev_se(emp, target, se) -> float:

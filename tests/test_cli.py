@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -57,6 +60,26 @@ def test_gen_tree_writes_single_edge(tmp_path, capsys):
     written = Path(out.strip())
     assert written.parent == tmp_path
     assert written.read_text() == "vertex,parent\n1,0\n"
+
+
+@pytest.mark.parametrize("module", ["branchlab", "branchlab.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv, "--output-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    done = python_m("gen-tree", "--n", "5", "--seed", "1", "--out", "tree.csv")
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()) == tmp_path / "tree.csv"
+    assert (tmp_path / "tree.csv").read_text().startswith("vertex,parent\n1,0\n")
+    assert python_m("gen-tree", "--n", "-1").returncode == 2
 
 
 def test_gen_tree_env_output_dir(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -206,11 +207,75 @@ with open("/proc/self/status") as f:
 )
 def test_depth_pass_holds_one_byte_of_depth_per_vertex(fresh_peak_mb, call):
     # above the peak after imports, the int32 parents and uint8 depths take
-    # 20 MB at 2**22 vertices and each run 23 MB; an int32 depth array
-    # would read 36 MB (profile), V-long level masks and 16 MB draw blocks
-    # 32 MB (grow_and_record)
+    # 20 MB at 2**22 vertices and profile reads 23 MB; an int32 depth array
+    # would read 36 MB. grow_and_record holds no parent array: its uint8
+    # depths, one level mask and one level's indices read 8 MB, and a
+    # parent array beside the depths would read 22 MB
     (imported,), peak = fresh_peak_mb(_DEPTH_PASS_PROBE.format(call=call))
-    assert peak - int(imported) < 28
+    assert peak - int(imported) < (28 if call.startswith("profile") else 14)
+
+
+def _level_scans(depth, sizes, k_max):
+    return [[int(np.count_nonzero(depth[:s] == k)) for k in range(1, k_max + 1)] for s in sizes]
+
+
+@pytest.mark.parametrize(
+    "total",
+    [1, 2, _DRAW_BLOCK, _DRAW_BLOCK + 1, _DRAW_BLOCK + 2, 3 * _DRAW_BLOCK + 7],
+)
+def test_grow_and_record_resolves_the_tree_generate_rrt_draws(total):
+    # the blocks are drawn on a helper thread while the block before has its
+    # depths resolved; the tree and its counts are those of the one-shot route
+    grid = (0.0,) if total == 1 else (0.5, 1.0)
+    path = grow_and_record(max(total, 2), grid, 4, RngStream(31, 0))
+    assert int(path.sizes[-1]) == total
+    depth = depths_from_parents(generate_rrt(total, RngStream(31, 0)).parent)
+    assert path.values.tolist() == _level_scans(depth, path.sizes.tolist(), 4)
+
+
+def _failing_on_block(monkeypatch, failing):
+    """Make the failing-th parent draw of a stream raise RuntimeError."""
+    draws = []
+    integers = RngStream.integers
+
+    def integers_or_fail(self, *args, **kwargs):
+        draws.append(threading.current_thread())
+        if len(draws) == failing:
+            raise RuntimeError("draw failed")
+        return integers(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "integers", integers_or_fail)
+    return draws
+
+
+def test_a_failing_draw_propagates_and_leaves_no_thread(monkeypatch):
+    threads = threading.active_count()
+    grow_and_record(3 * _DRAW_BLOCK, (1.0,), 2, RngStream(5, 0))
+    assert threading.active_count() == threads
+    draws = _failing_on_block(monkeypatch, failing=3)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        grow_and_record(3 * _DRAW_BLOCK, (1.0,), 2, RngStream(5, 0))
+    assert len(draws) == 3
+    # one helper made every block, and it is gone
+    assert len(set(draws)) == 1 and draws[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_a_closed_prefetch_joins_its_helper():
+    threads = threading.active_count()
+    made = []
+
+    def items():
+        for i in range(10):
+            made.append(i)
+            yield i
+
+    ahead = recursive_tree._ahead(items())
+    assert [next(ahead), next(ahead)] == [0, 1]
+    ahead.close()
+    assert threading.active_count() == threads
+    # only the item after the last one taken was made ahead
+    assert made == [0, 1, 2]
 
 
 def test_blockwise_parent_draws_equal_one_full_draw():

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from branchlab.rng import RngStream, mix64
 
@@ -25,6 +28,25 @@ def test_mix64_stays_in_64_bits():
     for parts in [(2**64 - 1,), (2**64 - 1, 2**64 - 1), (123456789, 987654321, 42)]:
         v = mix64(*parts)
         assert 0 <= v < 2**64
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, math.inf, math.nan, True, np.float64(1), "1", None])
+def test_seeds_that_are_not_integers_are_refused(bad):
+    # a float used to be truncated, so RngStream(1.5) drew seed 1's stream
+    with pytest.raises(ValueError):
+        mix64(bad)
+    with pytest.raises(ValueError):
+        mix64(1, bad)
+    with pytest.raises(ValueError):
+        RngStream(bad)
+    with pytest.raises(ValueError):
+        RngStream(1, bad)
+
+
+def test_numpy_integer_seeds_mix_as_python_ints():
+    assert mix64(np.int64(42), np.uint8(13)) == mix64(42, 13)
+    draws = RngStream(np.int32(7), np.int64(3)).random(4)
+    assert draws.tolist() == RngStream(7, 3).random(4).tolist()
 
 
 def test_stream_reproducible():

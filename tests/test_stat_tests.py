@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_empirical_cov_basics():
     assert abs(cov[0, 0] - 1.0) < 4 * se[0, 0]
     with pytest.raises(ValueError):
         empirical_cov(paired[:1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_empirical_cov_refuses_samples_whose_moments_are_not_finite(bad):
+    # 1e300 is finite, but its square overflows inside the matmul
+    samples = RngStream(9, 0).standard_normal((50, 2))
+    samples[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            empirical_cov(samples)
 
 
 def _cmj_grid_counts(horizon, k_max, grid, n_reps, seed, workers=1):

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -11,6 +12,7 @@ from branchlab.recursive_tree import (
     _DRAW_BLOCK,
     MAX_TREE_VERTICES,
     RecursiveTree,
+    _power_size,
     depths_from_parents,
     exact_profile_distribution,
     generate_parent_matrix,
@@ -276,6 +278,35 @@ def test_a_closed_prefetch_joins_its_helper():
     assert threading.active_count() == threads
     # only the item after the last one taken was made ahead
     assert made == [0, 1, 2]
+
+
+def test_concurrent_grows_with_fast_thread_switches_draw_their_own_trees():
+    # four callers, each with its own stream and helper, on fewer cores; a
+    # block drawn out of order or on two threads at once would change a tree
+    total = 3 * _DRAW_BLOCK + 7
+    want = {
+        seed: depths_from_parents(generate_rrt(total, RngStream(seed, 0)).parent)
+        for seed in range(4)
+    }
+    got = {}
+
+    def grow(seed):
+        got[seed] = grow_and_record(total, (0.5, 1.0), 4, RngStream(seed, 0)).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=grow, args=(seed,)) for seed in want]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    sizes = [_power_size(total, 0.5), total]
+    for seed, depth in want.items():
+        assert got[seed].tolist() == _level_scans(depth, sizes, 4)
 
 
 def test_blockwise_parent_draws_equal_one_full_draw():

@@ -21,7 +21,7 @@ from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
 # grow_and_record's snapshot cells (grid points times levels): 2**20 of them
-# take about 1.1-1.6 s and 87 MB through the profile-path CSV at n_base
+# take about 1.1-1.3 s and 68 MB through the profile-path CSV at n_base
 # 10**7 (one grid point, k_max 2**20), start-up included (2 cores).
 MAX_PATH_CELLS = 2**20
 
@@ -66,7 +66,7 @@ class ProfilePath:
 
 
 def _check_parents(parents: np.ndarray, first: int) -> np.ndarray:
-    """parents, once parents[..., j] is checked to lie in 0..i-1 with i = first + j.
+    """Return parents once every parents[..., j] lies in 0..i-1, with i = first + j.
 
     Raises ValueError otherwise.
     """
@@ -310,6 +310,8 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     if total > MAX_TREE_VERTICES:
         raise CapExceededError(f"final tree size {total} exceeds the cap {MAX_TREE_VERTICES}")
 
+    # closed here, the helper is joined even when _depths raises and its
+    # traceback keeps the generator alive
     with closing(_ahead(_parent_blocks(total, rng))) as blocks:
         depth = _depths(total, blocks)
     values = np.zeros((t_grid.size, k_max), dtype=np.int64)

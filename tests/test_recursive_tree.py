@@ -12,7 +12,6 @@ from branchlab.recursive_tree import (
     _DRAW_BLOCK,
     MAX_TREE_VERTICES,
     RecursiveTree,
-    _power_size,
     depths_from_parents,
     exact_profile_distribution,
     generate_parent_matrix,
@@ -211,7 +210,7 @@ def test_depth_pass_holds_one_byte_of_depth_per_vertex(fresh_peak_mb, call):
     # above the peak after imports, the int32 parents and uint8 depths take
     # 20 MB at 2**22 vertices and profile reads 23 MB; an int32 depth array
     # would read 36 MB. grow_and_record holds no parent array: its uint8
-    # depths, one level mask and one level's indices read 8 MB, and a
+    # depths, one level mask and one level's indices read about 9 MB, and a
     # parent array beside the depths would read 22 MB
     (imported,), peak = fresh_peak_mb(_DEPTH_PASS_PROBE.format(call=call))
     assert peak - int(imported) < (28 if call.startswith("profile") else 14)
@@ -235,26 +234,20 @@ def test_grow_and_record_resolves_the_tree_generate_rrt_draws(total):
     assert path.values.tolist() == _level_scans(depth, path.sizes.tolist(), 4)
 
 
-def _failing_on_block(monkeypatch, failing):
-    """Make the failing-th parent draw of a stream raise RuntimeError."""
-    draws = []
-    integers = RngStream.integers
-
-    def integers_or_fail(self, *args, **kwargs):
-        draws.append(threading.current_thread())
-        if len(draws) == failing:
-            raise RuntimeError("draw failed")
-        return integers(self, *args, **kwargs)
-
-    monkeypatch.setattr(RngStream, "integers", integers_or_fail)
-    return draws
-
-
 def test_a_failing_draw_propagates_and_leaves_no_thread(monkeypatch):
     threads = threading.active_count()
     grow_and_record(3 * _DRAW_BLOCK, (1.0,), 2, RngStream(5, 0))
     assert threading.active_count() == threads
-    draws = _failing_on_block(monkeypatch, failing=3)
+    draws = []
+    integers = RngStream.integers
+
+    def integers_failing_on_the_third_block(self, *args, **kwargs):
+        draws.append(threading.current_thread())
+        if len(draws) == 3:
+            raise RuntimeError("draw failed")
+        return integers(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "integers", integers_failing_on_the_third_block)
     with pytest.raises(RuntimeError, match="draw failed"):
         grow_and_record(3 * _DRAW_BLOCK, (1.0,), 2, RngStream(5, 0))
     assert len(draws) == 3
@@ -291,7 +284,7 @@ def test_concurrent_grows_with_fast_thread_switches_draw_their_own_trees():
     got = {}
 
     def grow(seed):
-        got[seed] = grow_and_record(total, (0.5, 1.0), 4, RngStream(seed, 0)).values
+        got[seed] = grow_and_record(total, (0.5, 1.0), 4, RngStream(seed, 0))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -304,9 +297,9 @@ def test_concurrent_grows_with_fast_thread_switches_draw_their_own_trees():
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    sizes = [_power_size(total, 0.5), total]
     for seed, depth in want.items():
-        assert got[seed].tolist() == _level_scans(depth, sizes, 4)
+        path = got[seed]
+        assert path.values.tolist() == _level_scans(depth, path.sizes.tolist(), 4)
 
 
 def test_blockwise_parent_draws_equal_one_full_draw():

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution
-from .errors import CapExceededError
+from .errors import CapExceededError, count
 from .recursive_tree import RecursiveTree
 from .rng import RngStream
 
@@ -99,7 +99,7 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     """
     m = horizon / dist.mu
     total, term = 0.0, 1.0
-    for k in range(1, k_max + 1):
+    for k in range(1, count(k_max, "k_max") + 1):
         term *= m / k
         total += term
     return total
@@ -181,8 +181,7 @@ def _generations(dist, horizon, k_max, rng):
     """
     if not horizon >= 0:
         raise ValueError("horizon must be >= 0")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = count(k_max, "k_max", 1)
     if k_max > MAX_GENERATIONS:
         raise CapExceededError(f"{k_max} generations exceed the cap {MAX_GENERATIONS}")
     if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
@@ -247,8 +246,7 @@ def generation_counts(
 
 def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
     """Number of generation-k births at or before time t."""
-    if not 1 <= k <= traj.k_max:
-        raise ValueError(f"generation must lie in 1..{traj.k_max}")
+    k = count(k, "generation", 1, traj.k_max)
     if not -np.inf < t <= traj.horizon + 1e-9 * max(1.0, traj.horizon):
         raise ValueError("query time must be finite and within the simulated horizon")
     if t < 0:
@@ -272,8 +270,7 @@ def simulate_embedded_rrt(n: int, rng: RngStream) -> EmbeddedTree:
     function's parent arrays on the same stream. Raises CapExceededError
     above MAX_EMBEDDED_BIRTHS births.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = count(n, "n")
     if n > MAX_EMBEDDED_BIRTHS:
         raise CapExceededError(f"{n} births exceed the cap {MAX_EMBEDDED_BIRTHS}")
     parent = np.full(n + 1, -1, dtype=np.int32)
@@ -327,6 +324,7 @@ def renewal_count_samples(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    n_samples = count(n_samples, "n_samples")
     if n_samples > MAX_EVENTS:
         raise CapExceededError(f"{n_samples} samples exceed the cap {MAX_EVENTS}")
     counts = np.zeros(n_samples, dtype=np.int64)

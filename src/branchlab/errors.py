@@ -1,7 +1,8 @@
-"""Shared exception types, and the gate every closed form passes through."""
+"""Shared exception types, and two gates: finite for closed forms, count for counts."""
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,3 +33,17 @@ def finite(compute, what: str):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{what} leaves the double range")
     return value
+
+
+def count(x, what: str, lo=0, hi=math.inf) -> int:
+    """int(x) for an integer x in lo..hi (numpy ones pass, bools do not), else ValueError.
+
+    The result is a Python int, so a product of counts cannot wrap as an int64 one does.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    x = int(x)
+    if not lo <= x <= hi:
+        bound = f"be >= {lo}" if hi == math.inf else f"lie in {lo}..{hi}"
+        raise ValueError(f"{what} must {bound}")
+    return x

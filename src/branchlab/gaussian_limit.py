@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, FactorizationError, finite
+from .errors import CapExceededError, FactorizationError, count, finite
 from .rng import RngStream
 
 _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
@@ -51,8 +51,7 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
     Equals int_0^{min(s,u)} (s-y)^{k-1} (u-y)^{l-1} dy; for u >= s this is
     sum_j C(l-1, j) s^{k+j} (u-s)^{l-1-j} / (k+j).
     """
-    if k < 1 or l < 1:
-        raise ValueError("orders must be >= 1")
+    k, l = count(k, "orders", 1), count(l, "orders", 1)
     if not (0 <= s < math.inf and 0 <= u < math.inf):
         raise ValueError("times must be finite and >= 0")
     if u < s:
@@ -67,8 +66,7 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
 
 def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
     """Quadrature oracle for cov_rkl from the defining integral."""
-    if k < 1 or l < 1:
-        raise ValueError("orders must be >= 1")
+    k, l = count(k, "orders", 1), count(l, "orders", 1)
     if not (0 <= s < math.inf and 0 <= u < math.inf):
         raise ValueError("times must be finite and >= 0")
     top = min(s, u)
@@ -87,8 +85,7 @@ def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
 
 def marginal_sd(k: int, s: float) -> float:
     """Standard deviation of R_k(s): sqrt(s^{2k-1} / (2k-1))."""
-    if k < 1:
-        raise ValueError("order must be >= 1")
+    k = count(k, "order", 1)
     if not 0 <= s < math.inf:
         raise ValueError("time must be finite and >= 0")
     return finite(lambda: math.sqrt(s ** (2 * k - 1) / (2 * k - 1)), f"Var R_{k}({s:g})")
@@ -97,8 +94,7 @@ def marginal_sd(k: int, s: float) -> float:
 def build_cov_matrix(k_max: int, t_grid) -> CovMatrix:
     """Covariance over the product index set, k-major then time."""
     t_grid = [float(t) for t in np.atleast_1d(np.asarray(t_grid, dtype=float))]
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = count(k_max, "k_max", 1)
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
     if any(t < 0 for t in t_grid):
@@ -139,8 +135,7 @@ def sample_limit(cov: CovMatrix, n_samples: int, rng: RngStream) -> GaussianGrid
     semidefinite, an escalating diagonal jitter up to 1e-10 of the largest
     diagonal entry is applied and reported.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = count(n_samples, "n_samples", 1)
     if n_samples * cov.dim > MAX_SAMPLE_CELLS:
         raise CapExceededError(
             f"{n_samples} draws of dimension {cov.dim} exceed the cap {MAX_SAMPLE_CELLS}"

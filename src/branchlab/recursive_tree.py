@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, count
 from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
@@ -176,8 +176,7 @@ def generate_rrt(n_plus_1: int, rng: RngStream) -> RecursiveTree:
     single-tree routes, and each int64 block is cast to int32 as it is
     stored, so grow_and_record's tree on the same stream is this one.
     """
-    if n_plus_1 < 1:
-        raise ValueError("vertex count must be >= 1")
+    n_plus_1 = count(n_plus_1, "vertex count", 1)
     if n_plus_1 > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {n_plus_1} vertices exceeds the memory cap")
     parent = np.empty(n_plus_1, dtype=np.int32)
@@ -210,14 +209,12 @@ def generate_parent_matrix(n_batch: int, n_plus_1: int, rng: RngStream) -> np.nd
     CapExceededError, before any draw, when the matrix, or one row of it,
     would hold more than MAX_TREE_VERTICES parents.
     """
-    if n_batch < 0:
-        raise ValueError("n_batch must be >= 0")
+    n_batch = count(n_batch, "n_batch")
+    n_plus_1 = count(n_plus_1, "vertex count", 1)
     if max(n_batch, 1) * (n_plus_1 - 1) > MAX_TREE_VERTICES:
         raise CapExceededError(
             f"{n_batch} trees of {n_plus_1} vertices exceed the cap {MAX_TREE_VERTICES}"
         )
-    if n_plus_1 < 2:
-        return np.empty((n_batch, 0), dtype=np.int64)
     return rng.integers(0, np.arange(1, n_plus_1), size=(n_batch, n_plus_1 - 1))
 
 
@@ -232,6 +229,7 @@ def level_counts_batch(parents: np.ndarray, k_max: int) -> np.ndarray:
     parents = np.asarray(parents)
     if parents.ndim != 2 or not np.issubdtype(parents.dtype, np.integer):
         raise ValueError("parents must be a 2-d integer array")
+    k_max = count(k_max, "k_max")
     if parents.shape[0] * k_max > MAX_TREE_VERTICES:
         raise CapExceededError(
             f"{parents.shape[0]} trees times {k_max} levels exceed the cap {MAX_TREE_VERTICES}"
@@ -291,10 +289,8 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
         raise ValueError("t_grid entries must be >= 0")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if n_base < 2:
-        raise ValueError("n_base must be >= 2")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    n_base = count(n_base, "n_base", 2)
+    k_max = count(k_max, "k_max", 1)
     if t_grid.size * k_max > MAX_PATH_CELLS:
         raise CapExceededError(
             f"{t_grid.size} grid points times {k_max} levels exceed the cap {MAX_PATH_CELLS}"
@@ -328,11 +324,7 @@ def exact_profile_distribution(n_plus_1: int) -> dict[tuple[int, ...], float]:
     each of the (n_plus_1 - 1)! attachment sequences is equally likely.
     Limited to n_plus_1 <= 9.
     """
-    if not 1 <= n_plus_1 <= _ENUM_LIMIT:
-        raise ValueError(f"exact enumeration supports 1..{_ENUM_LIMIT} vertices")
-    n = n_plus_1 - 1
-    if n == 0:
-        return {(): 1.0}
+    n = count(n_plus_1, "vertex count", 1, _ENUM_LIMIT) - 1
     tallies: dict[tuple[int, ...], int] = {}
     for choice in itertools.product(*(range(i) for i in range(1, n + 1))):
         depth = [0] * (n + 1)
@@ -355,8 +347,7 @@ def level1_moments(n: int) -> tuple[float, float]:
     Raises CapExceededError, before summing, when the tree of n + 1 vertices
     exceeds MAX_TREE_VERTICES, as generate_rrt does.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = count(n, "n")
     if n + 1 > MAX_TREE_VERTICES:
         raise CapExceededError(f"tree of {n + 1} vertices exceeds the memory cap")
     mean = math.fsum(1.0 / m for m in range(1, n + 1))

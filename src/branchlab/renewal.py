@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, lorden_constant
-from .errors import CapExceededError, TableCoverageError, finite
+from .errors import CapExceededError, TableCoverageError, count, finite
 
 # _volterra_u solves row by row in O(n^2): on 2 cores, 50k cells take 0.4 s,
 # 200k cells 4.0-4.2 s and 2**18 cells 7.4-8.0 s; 10**7 cells would take
@@ -62,7 +62,7 @@ class RenewalTable:
             raise TableCoverageError(f"requested time beyond table horizon {tmax}")
 
     def _row(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.k_max:
+        if count(k, "order", 1) > self.k_max:
             raise TableCoverageError(f"table holds orders 1..{self.k_max}, requested {k}")
         return self.uk[k - 1]
 
@@ -141,8 +141,7 @@ def _grid_cells(t_max: float, h: float) -> int:
 
 
 def _check_orders(k_max: int, n_cells: int) -> None:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = count(k_max, "k_max", 1)
     if k_max * (n_cells + 1) > MAX_TABLE_VALUES:
         raise CapExceededError(
             f"{k_max} orders of {n_cells + 1} grid points exceed the cap {MAX_TABLE_VALUES}"
@@ -225,6 +224,7 @@ def lorden_check(table: RenewalTable) -> tuple[float, float]:
 
 def uk_deviation_bound(table: RenewalTable, k: int) -> np.ndarray:
     """Bound on |U_k(t) - t^k/(k! mu^k)| from the band constant c; ValueError if not finite."""
+    k = count(k, "k")
     t = table.grid
     mu, c = table.dist.mu, lorden_constant(table.dist)
     terms = (math.comb(k, i) * t**i * c ** (k - i) / (math.factorial(i) * mu**i) for i in range(k))
@@ -251,8 +251,7 @@ def second_moment_rhs(table: RenewalTable, k: int, t: float) -> float:
     convolution against dU as higher_renewal_grid; a t between grid nodes
     is linearly interpolated from its two neighbours.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = count(k, "k", 2)
     if table.k_max < k:
         raise TableCoverageError(f"table must hold orders up to {k}")
     if t < 0:
@@ -267,8 +266,7 @@ def second_moment_rhs(table: RenewalTable, k: int, t: float) -> float:
 
 def yk3_exact(table: RenewalTable, k: int, t: float) -> float:
     """Deterministic drift term: mu^{-1} int_0^t U_{k-1} - t^k/(k! mu^k)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = count(k, "k", 2)
     if table.k_max < k - 1:
         raise TableCoverageError(f"table must hold orders up to {k - 1}")
     mu = table.dist.mu

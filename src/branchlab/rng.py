@@ -7,9 +7,11 @@ draws no matter how work is scheduled or how many workers run.
 """
 from __future__ import annotations
 
-import numbers
+import math
 
 import numpy as np
+
+from .errors import count
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,14 +30,12 @@ def mix64(*parts: int) -> int:
 
     Deterministic, order sensitive, and stable across platforms; this is the
     only seeding primitive used anywhere in the package. A part that is not
-    an integer (numpy integers are), or is a bool, raises ValueError rather
-    than being truncated into some integer's stream.
+    an integer (see errors.count) raises ValueError rather than being
+    truncated into some integer's stream.
     """
     acc = 0
     for p in parts:
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-            raise ValueError(f"seed parts must be integers, got {p!r}")
-        acc = (acc + (int(p) & _MASK) + _GOLDEN) & _MASK
+        acc = (acc + (count(p, "seed part", -math.inf) & _MASK) + _GOLDEN) & _MASK
         acc = _splitmix(acc)
     return acc
 

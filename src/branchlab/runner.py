@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .errors import count
 from .rng import RngStream
 
 # replicates, so tasks run and results held, in one map_replicated call;
@@ -57,16 +57,12 @@ def map_replicated(task, n_reps: int, seed: int, workers: int = 1):
     processes, and maps them on the pool of an enclosing shared_pool block,
     or else on a pool of that many processes of its own. Returns the
     stacked numpy array of results. Raises ValueError, before any task runs
-    or pool starts, unless n_reps is an integer in 1..MAX_REPLICATES and
-    workers an integer >= 1.
+    or pool starts, unless n_reps is an integer in 1..MAX_REPLICATES,
+    workers an integer >= 1 and seed an integer.
     """
-    for name, value in (("n_reps", n_reps), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
-    if not 1 <= n_reps <= MAX_REPLICATES:
-        raise ValueError(f"n_reps must lie in 1..{MAX_REPLICATES}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    n_reps = count(n_reps, "n_reps", 1, MAX_REPLICATES)
+    workers = count(workers, "workers", 1)
+    seed = count(seed, "seed", -math.inf)
     if workers == 1:
         rows = _run_chunk((task, seed, 0, n_reps))
     else:

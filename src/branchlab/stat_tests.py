@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import finite
+from .errors import count, finite
 from .gaussian_limit import build_cov_matrix, marginal_sd
 from .renewal import _leading_term
 
@@ -88,8 +88,7 @@ def normalize_cmj(
 
     Raises ValueError when the center or the scale leaves the double range.
     """
-    if k < 1:
-        raise ValueError("generation k must be >= 1")
+    k = count(k, "generation k", 1)
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
     if not 0.0 < sigma2 < math.inf:

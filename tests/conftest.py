@@ -1,7 +1,9 @@
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,24 @@ def fresh_peak_mb():
         return words, int(peak)
 
     return run
+
+
+@pytest.fixture
+def time_limit():
+    """A context manager: time_limit(seconds) fails with TimeoutError instead of
+    hanging past that wall time."""
+
+    @contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -1,6 +1,4 @@
 import math
-import signal
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -153,23 +151,7 @@ def test_cap_precheck_raises():
         simulate_cmj(EXP1, 2000.0, 3, RngStream(0, 0))
 
 
-@contextmanager
-def time_limit(seconds):
-    """Fail with TimeoutError instead of hanging past the given wall time."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys):
+def test_walk_that_cannot_pass_its_budget_is_refused(tmp_path, capsys, time_limit):
     # numpy draws exact zeros for nearly every shape-1e-9 increment, so
     # the walks stall short of their budgets
     law = make_distribution("gamma(1e-9,1e-9)")

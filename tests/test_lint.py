@@ -1,5 +1,5 @@
-"""Source checks that need no linter: dead module-level imports, long lines and
-registry group names written more than once."""
+"""Source checks that need no linter: dead module-level imports, long lines,
+registry group names written more than once, and integer tests outside errors.py."""
 import ast
 from pathlib import Path
 
@@ -53,6 +53,32 @@ def test_no_line_is_longer_than_the_limit():
         if len(line) > MAX_COLUMNS
     ]
     assert long == []
+
+
+def _integral_checks(source: str) -> list:
+    """Lines that reach numbers.Integral, as an attribute or through a from-import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "Integral")
+        or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+    )
+
+
+def test_the_checker_finds_integral_checks():
+    source = "import numbers\nfrom numbers import Real\n\n\ndef f():\n    return numbers.Integral\n"
+    assert _integral_checks(source) == [2, 6]
+
+
+def test_only_the_errors_module_says_what_a_count_is():
+    # every count argument passes through errors.count, the one place the
+    # rule for what a count is lives
+    found = {
+        path.name: _integral_checks(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("errors.py") != []
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _string_constants(source: str) -> list:

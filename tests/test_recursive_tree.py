@@ -341,6 +341,8 @@ def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch
     monkeypatch.setattr(recursive_tree, "MAX_TREE_VERTICES", 100)
     rng = RngStream(5, 1)
     assert generate_parent_matrix(10, 11, rng).shape == (10, 10)  # at the cap
+    roots = generate_parent_matrix(3, 1, rng)  # one-vertex trees have no parents to draw
+    assert roots.shape == (3, 0) and roots.dtype == np.int64
     for n_batch, n_plus_1 in ((11, 11), (10, 12), (0, 102), (10**7, 10**7)):
         with pytest.raises(CapExceededError):
             generate_parent_matrix(n_batch, n_plus_1, rng)
@@ -348,7 +350,7 @@ def test_parent_matrix_past_the_vertex_cap_is_refused_before_drawing(monkeypatch
         generate_parent_matrix(-1, 11, rng)
     ref = RngStream(5, 1)
     ref.integers(0, np.arange(1, 11), size=(10, 10))
-    assert rng.random() == ref.random()  # the refusals drew nothing
+    assert rng.random() == ref.random()  # the refusals and the one-vertex trees drew nothing
 
 
 def test_level_counts_batch_past_the_cap_is_refused_before_allocating(monkeypatch):
@@ -396,6 +398,7 @@ def test_exact_distribution_three_vertices():
 
 
 def test_exact_distribution_normalizes():
+    assert exact_profile_distribution(1) == {(): 1.0}  # the root alone, one empty attachment
     for n_plus_1 in range(1, 8):
         dist = exact_profile_distribution(n_plus_1)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)

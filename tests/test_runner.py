@@ -94,6 +94,17 @@ def test_bad_counts_are_refused_before_any_task_or_pool(monkeypatch, n_reps, wor
     assert len(ran) == 5
 
 
+@pytest.mark.parametrize("seed", [2.5, float("nan"), True, "1", None])
+def test_bad_seed_is_refused_before_any_pool(monkeypatch, seed):
+    # a bad seed used to reach RngStream only inside a worker, after the pool started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="seed"):
+        runner.map_replicated(_task, 4, seed, workers=2)
+
+
 @pytest.mark.parametrize(
     "group",
     [

@@ -34,10 +34,11 @@ def shared_pool(workers: int):
 
     The pool holds min(workers, cpu count) processes and is shut down when
     the block ends. With workers == 1 no pool starts and each pooled call
-    starts its own, as outside the block.
+    starts its own, as outside the block. Raises ValueError, before any
+    pool starts, unless workers is an integer >= 1.
     """
     global _shared
-    if workers < 2:
+    if count(workers, "workers", 1) < 2:
         yield
         return
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:

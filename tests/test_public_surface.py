@@ -235,8 +235,8 @@ _COUNT_NAMES = {
 
 
 def test_every_count_parameter_has_refusal_rows():
-    # records (dataclasses) hold what a gated call returned, and the
-    # exception types take no counts
+    # a dataclass holds values and checks none (the call that reads a field
+    # gates it), and the exception types take no counts
     public = [
         obj
         for obj in map(partial(getattr, branchlab), branchlab.__all__)

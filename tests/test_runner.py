@@ -94,15 +94,25 @@ def test_bad_counts_are_refused_before_any_task_or_pool(monkeypatch, n_reps, wor
     assert len(ran) == 5
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool started")
+
+
 @pytest.mark.parametrize("seed", [2.5, float("nan"), True, "1", None])
 def test_bad_seed_is_refused_before_any_pool(monkeypatch, seed):
     # a bad seed used to reach RngStream only inside a worker, after the pool started
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started")
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _no_pool)
     with pytest.raises(ValueError, match="seed"):
         runner.map_replicated(_task, 4, seed, workers=2)
+
+
+@pytest.mark.parametrize("workers", [2.5, float("nan"), True, 0, "2"])
+def test_shared_pool_refuses_bad_workers_before_any_pool(monkeypatch, workers):
+    # verify_suite opens this block first: a float count used to reach
+    # ProcessPoolExecutor before map_replicated refused it
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ValueError, match="workers"), runner.shared_pool(workers):
+        pass
 
 
 @pytest.mark.parametrize(

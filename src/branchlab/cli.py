@@ -19,8 +19,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from ._version import __version__
 from .cmj import simulate_cmj, simulate_embedded_rrt
 from .distributions import make_distribution
@@ -177,7 +175,7 @@ def _cmd_gen_tree(args) -> int:
 
 
 def _cmd_profile_path(args) -> int:
-    grid = np.asarray(_parse_grid(args.t_grid), dtype=float)
+    grid = _parse_grid(args.t_grid)
     ppath = grow_and_record(args.n_base, grid, args.k_max, RngStream(args.seed, 0))
     name = f"profile_path_b{args.n_base}_seed{args.seed}.csv"
     return _write(args, name, write_profile_path_csv, ppath)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution
-from .errors import CapExceededError, count
+from .errors import CapExceededError, count, grid, real
 from .recursive_tree import RecursiveTree
 from .rng import RngStream
 
@@ -95,11 +95,15 @@ def expected_event_count(dist: IncrementDistribution, horizon: float, k_max: int
     """Leading-order estimate sum_k (horizon/mu)^k / k! used for the cap check.
 
     Each term is the last one times m/k, so a sum past the double range
-    reads inf rather than raising OverflowError.
+    reads inf rather than raising OverflowError. Raises CapExceededError,
+    before the sum, when k_max exceeds MAX_GENERATIONS.
     """
+    k_max = count(k_max, "k_max")
+    if k_max > MAX_GENERATIONS:
+        raise CapExceededError(f"{k_max} generations exceed the cap {MAX_GENERATIONS}")
     m = horizon / dist.mu
     total, term = 0.0, 1.0
-    for k in range(1, count(k_max, "k_max") + 1):
+    for k in range(1, k_max + 1):
         term *= m / k
         total += term
     return total
@@ -179,11 +183,8 @@ def _generations(dist, horizon, k_max, rng):
     MAX_GENERATIONS, when the expected or the running event count exceeds
     MAX_EVENTS, or when a walk cannot pass its budget.
     """
-    if not horizon >= 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = real(horizon, "horizon", 0)
     k_max = count(k_max, "k_max", 1)
-    if k_max > MAX_GENERATIONS:
-        raise CapExceededError(f"{k_max} generations exceed the cap {MAX_GENERATIONS}")
     if expected_event_count(dist, horizon, k_max) > MAX_EVENTS:
         raise CapExceededError("expected event count exceeds the cap")
     births = np.zeros(1)
@@ -236,19 +237,16 @@ def generation_counts(
     fractions[i] * horizon) for the same stream, found without sorting any
     generation.
     """
-    fractions = np.asarray(fractions, dtype=float)
-    if fractions.ndim != 1 or not np.all((fractions >= 0.0) & (fractions <= 1.0)):
-        raise ValueError("fractions must be a 1-d sequence in [0, 1]")
-    query = fractions * horizon
-    gens = _generations(dist, horizon, k_max, rng)
-    return np.array([[np.count_nonzero(t <= q) for q in query] for t, _ in gens], dtype=np.int64)
+    fractions = grid(fractions, "fractions", 0, 1)
+    gens = _generations(dist, horizon, k_max, rng)  # gates horizon before s * horizon is taken
+    counts = [[np.count_nonzero(t <= s * horizon) for s in fractions] for t, _ in gens]
+    return np.array(counts, dtype=np.int64)
 
 
 def count_generation(traj: CmjTrajectory, k: int, t: float) -> int:
     """Number of generation-k births at or before time t."""
     k = count(k, "generation", 1, traj.k_max)
-    if not -np.inf < t <= traj.horizon + 1e-9 * max(1.0, traj.horizon):
-        raise ValueError("query time must be finite and within the simulated horizon")
+    t = real(t, "t", hi=traj.horizon + 1e-9 * max(1.0, traj.horizon))
     if t < 0:
         return 0
     return int(np.searchsorted(traj.times[k - 1], t, side="right"))
@@ -322,12 +320,11 @@ def renewal_count_samples(
 
     Raises CapExceededError, before allocating, above MAX_EVENTS samples.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = real(t, "t", 0)
     n_samples = count(n_samples, "n_samples")
     if n_samples > MAX_EVENTS:
         raise CapExceededError(f"{n_samples} samples exceed the cap {MAX_EVENTS}")
     counts = np.zeros(n_samples, dtype=np.int64)
-    for rows, _ in _walk_sums(dist, rng, np.full(n_samples, float(t))):
+    for rows, _ in _walk_sums(dist, rng, np.full(n_samples, t)):
         np.add.at(counts, rows, 1)
     return counts

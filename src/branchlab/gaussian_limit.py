@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, FactorizationError, count, finite
+from .errors import CapExceededError, FactorizationError, count, finite, grid, real
 from .rng import RngStream
 
 _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
@@ -52,8 +52,7 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
     sum_j C(l-1, j) s^{k+j} (u-s)^{l-1-j} / (k+j).
     """
     k, l = count(k, "orders", 1), count(l, "orders", 1)
-    if not (0 <= s < math.inf and 0 <= u < math.inf):
-        raise ValueError("times must be finite and >= 0")
+    s, u = real(s, "s", 0), real(u, "u", 0)
     if u < s:
         k, l, s, u = l, k, u, s
     if s == 0:
@@ -67,8 +66,7 @@ def cov_rkl(k: int, l: int, s: float, u: float) -> float:
 def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
     """Quadrature oracle for cov_rkl from the defining integral."""
     k, l = count(k, "orders", 1), count(l, "orders", 1)
-    if not (0 <= s < math.inf and 0 <= u < math.inf):
-        raise ValueError("times must be finite and >= 0")
+    s, u = real(s, "s", 0), real(u, "u", 0)
     top = min(s, u)
     if top == 0:
         return 0.0
@@ -86,19 +84,14 @@ def cov_rkl_integral(k: int, l: int, s: float, u: float) -> float:
 def marginal_sd(k: int, s: float) -> float:
     """Standard deviation of R_k(s): sqrt(s^{2k-1} / (2k-1))."""
     k = count(k, "order", 1)
-    if not 0 <= s < math.inf:
-        raise ValueError("time must be finite and >= 0")
+    s = real(s, "s", 0)
     return finite(lambda: math.sqrt(s ** (2 * k - 1) / (2 * k - 1)), f"Var R_{k}({s:g})")
 
 
 def build_cov_matrix(k_max: int, t_grid) -> CovMatrix:
     """Covariance over the product index set, k-major then time."""
-    t_grid = [float(t) for t in np.atleast_1d(np.asarray(t_grid, dtype=float))]
+    t_grid = grid(np.atleast_1d(t_grid), "t_grid", 0, math.inf).tolist()
     k_max = count(k_max, "k_max", 1)
-    if not t_grid:
-        raise ValueError("t_grid must be nonempty")
-    if any(t < 0 for t in t_grid):
-        raise ValueError("t_grid entries must be >= 0")
     if k_max * len(t_grid) > MAX_COV_DIM:
         raise CapExceededError(
             f"covariance of dimension {k_max * len(t_grid)} exceeds the cap {MAX_COV_DIM}"

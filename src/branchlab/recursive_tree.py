@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, count
+from .errors import CapExceededError, count, grid
 from .rng import RngStream
 
 MAX_TREE_VERTICES = 2**27
@@ -280,15 +280,7 @@ def grow_and_record(n_base: int, t_grid, k_max: int, rng: RngStream) -> ProfileP
     parent array is ever held. Then each level up to min(k_max, height) is
     one scan of the depths.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid entries must be finite")
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid entries must be >= 0")
-    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    t_grid = grid(t_grid, "t_grid", 0, math.inf, increasing=True)
     n_base = count(n_base, "n_base", 2)
     k_max = count(k_max, "k_max", 1)
     if t_grid.size * k_max > MAX_PATH_CELLS:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, lorden_constant
-from .errors import CapExceededError, TableCoverageError, count, finite
+from .errors import CapExceededError, TableCoverageError, count, finite, real
 
 # _volterra_u solves row by row in O(n^2): on 2 cores, 50k cells take 0.4 s,
 # 200k cells 4.0-4.2 s and 2**18 cells 7.4-8.0 s; 10**7 cells would take
@@ -130,10 +130,8 @@ def _volterra_u(dist: IncrementDistribution, n_cells: int, h: float) -> np.ndarr
 
 def _grid_cells(t_max: float, h: float) -> int:
     """Cell count of the grid 0, h, ..., ceil(t_max/h)*h, refused past MAX_GRID_CELLS."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError("grid step h must be positive and finite")
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValueError("t_max must be positive and finite")
+    h = real(h, "grid step h", 0, above=True)
+    t_max = real(t_max, "t_max", 0, above=True)
     cells = t_max / h - 1e-9  # may overflow to inf for a tiny h
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {t_max / h:.6g} cells exceeds the cap {MAX_GRID_CELLS}")
@@ -300,10 +298,8 @@ def moment_ratio(counts, dist: IncrementDistribution, t: float, p: float) -> flo
         raise ValueError("counts must be nonempty")
     if dist.sigma2 <= 0:
         raise ValueError("degenerate increments have no Gaussian limit")
-    if not 0 < t < math.inf:
-        raise ValueError("t must be finite and > 0")
-    if not 1 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
+    t = real(t, "t", 0, above=True)
+    p = real(p, "p", 1)
     u_t = t / dist.mu + (dist.sigma2 - dist.mu**2) / (2.0 * dist.mu**2)
     what = f"the order-{p:g} moment ratio at t = {t:g}"
     num = finite(lambda: float(np.mean(np.abs(np.asarray(counts) - u_t) ** p)), what)

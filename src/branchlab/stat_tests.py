@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import count, finite
+from .errors import count, finite, grid, real
 from .gaussian_limit import build_cov_matrix, marginal_sd
 from .renewal import _leading_term
 
@@ -33,17 +33,16 @@ def ks_one_sample(samples, cdf) -> KsReport:
     cdf is the law's distribution function, vectorized: it is called once
     on the sorted samples as a float array, e.g. scipy.special.ndtr for
     the standard normal or lambda x: ndtr(x / sd) for a centered normal.
+    A cdf value that is not finite or lies outside [0, 1] raises ValueError.
     """
-    xs = np.sort(np.asarray(samples, dtype=float).ravel())
+    xs = np.sort(finite(lambda: np.asarray(samples, dtype=float), "samples").ravel())
     n = xs.size
     if n < 2:
         raise ValueError("need at least two samples")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
-    fx = np.asarray(cdf(xs), dtype=float)
-    grid = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(grid - fx))
-    d_minus = float(np.max(fx - (grid - 1.0 / n)))
+    fx = grid(cdf(xs), "the reference cdf", 0, 1)
+    ecdf = np.arange(1, n + 1, dtype=float) / n
+    d_plus = float(np.max(ecdf - fx))
+    d_minus = float(np.max(fx - (ecdf - 1.0 / n)))
     stat = max(d_plus, d_minus)
     from scipy.special import kolmogorov  # on first use: scipy stays off start-up
 
@@ -53,12 +52,10 @@ def ks_one_sample(samples, cdf) -> KsReport:
 
 def ks_two_sample(a, b) -> KsReport:
     """Two-sample KS test with the asymptotic tail at the pooled size."""
-    xa = np.sort(np.asarray(a, dtype=float).ravel())
-    xb = np.sort(np.asarray(b, dtype=float).ravel())
+    xa = np.sort(finite(lambda: np.asarray(a, dtype=float), "samples").ravel())
+    xb = np.sort(finite(lambda: np.asarray(b, dtype=float), "samples").ravel())
     if xa.size < 2 or xb.size < 2:
         raise ValueError("need at least two samples on each side")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise ValueError("samples must be finite")
     pooled = np.concatenate([xa, xb])
     pooled.sort()
     ca = np.searchsorted(xa, pooled, side="right") / xa.size
@@ -86,18 +83,15 @@ def normalize_cmj(
     (mu = sigma2 = 1) at time t = ln n, so the same map normalises its
     level-k counts: (k-1)! (x - (s ln n)^k / k!) / (ln n)^(k - 1/2).
 
-    Raises ValueError when the center or the scale leaves the double range.
+    Raises ValueError for a count that is not finite, and when the center
+    or the scale leaves the double range.
     """
     k = count(k, "generation k", 1)
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not 0.0 < sigma2 < math.inf:
-        raise ValueError("normalization needs 0 < sigma2 < inf")
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    if not 0.0 <= s < math.inf:
-        raise ValueError("grid fraction s must be finite and >= 0")
-    y = np.asarray(counts, dtype=float)
+    mu = real(mu, "mu", 0, above=True)
+    sigma2 = real(sigma2, "sigma2", 0, above=True)
+    t = real(t, "t", 0, above=True)
+    s = real(s, "s", 0)
+    y = finite(lambda: np.asarray(counts, dtype=float), "counts")
     center = _leading_term(s * t, k, mu)
     what = f"the order-{k} scale at t = {t:g}, mu = {mu:g}"
     # an infinite denominator would give scale 0, so it is refused by itself
@@ -167,22 +161,13 @@ def functional_grid_test(
     the joint empirical covariance is compared entrywise with the
     closed-form target, in units of its standard error.
     """
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if not np.all((grid > 0.0) & (grid <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("grid fractions must lie in (0, 1]")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid fractions must be strictly increasing")
+    s_grid = grid(t_grid, "t_grid", 0, 1, above=True, increasing=True).tolist()
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 3 or raw.shape[1] < 1 or raw.shape[2] != grid.size:
+    if raw.ndim != 3 or raw.shape[1] < 1 or raw.shape[2] != len(s_grid):
         raise ValueError("raw must be (n_reps, k_max, len(t_grid)) with k_max >= 1")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw counts must be finite")
     n_reps, k_max = raw.shape[:2]
     if n_reps < 8:
         raise ValueError("n_reps must be >= 8")
-    s_grid = tuple(float(s) for s in grid)
 
     from scipy.special import ndtr
 

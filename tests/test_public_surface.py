@@ -1,8 +1,9 @@
 """Every public name resolves, and so does everything the bench tracer wraps or reads.
 
 Also: public entry points refuse out-of-range times, powers, samples and
-counts, every count parameter has rows in that table, and start-up and the
-cmj, stat_tests and errors modules load only the modules they need.
+counts, every count, real and grid parameter has rows in that table, the
+real and grid gates hold at their bounds, and start-up and the cmj,
+stat_tests and errors modules load only the modules they need.
 """
 import ast
 import dataclasses
@@ -31,7 +32,7 @@ from branchlab.cmj import (
     simulate_embedded_rrt,
 )
 from branchlab.distributions import IncrementDistribution, make_distribution
-from branchlab.errors import CapExceededError
+from branchlab.errors import CapExceededError, grid, real
 from branchlab.gaussian_limit import (
     build_cov_matrix,
     cov_rkl,
@@ -165,18 +166,76 @@ _COUNT_CALLS = {
     "build_renewal_table-k_max": (lambda v: build_renewal_table(_EXP1, 1.0, 0.1, v), (0,)),
 }
 
+_NOT_REALS = (math.nan, math.inf, -math.inf, True)
+
+
+def _grid_test(t_grid, t=2.0, mu=1.0, sigma2=1.0):
+    # counts shaped to the grid, so only the gate can refuse a grid
+    return functional_grid_test(np.ones((8, 1, np.size(t_grid))), t_grid, t, mu, sigma2)
+
+
+# Every real and grid parameter of the public API, as "<callable>-<parameter>":
+# a call with the value in its place, and the values past its range it must
+# refuse too (a strict lower bound refuses the bound itself). Each is
+# refused with every value of _NOT_REALS as well; a grid takes each value
+# as a one-entry grid, so it refuses a bool array, and a decreasing grid
+# where it must increase.
+_REAL_CALLS = {
+    "cov_rkl-s": (lambda v: cov_rkl(1, 2, v, 1.0), (-1,)),
+    "cov_rkl-u": (lambda v: cov_rkl(1, 2, 1.0, v), (-1,)),
+    "cov_rkl_integral-s": (lambda v: cov_rkl_integral(1, 2, v, 1.0), (-1,)),
+    "cov_rkl_integral-u": (lambda v: cov_rkl_integral(1, 2, 1.0, v), (-1,)),
+    "marginal_sd-s": (lambda v: marginal_sd(1, v), (-1,)),
+    # a scalar grid is still accepted here, and any order
+    "build_cov_matrix-t_grid": (lambda v: build_cov_matrix(1, v), (-1,)),
+    "normalize_cmj-t": (lambda v: normalize_cmj(_COUNTS, v, 1, 1.0, 1.0), (0, -1)),
+    "normalize_cmj-mu": (lambda v: normalize_cmj(_COUNTS, 2.0, 1, v, 1.0), (0, -1)),
+    "normalize_cmj-sigma2": (lambda v: normalize_cmj(_COUNTS, 2.0, 1, 1.0, v), (0, -1)),
+    "normalize_cmj-s": (lambda v: normalize_cmj(_COUNTS, 2.0, 1, 1.0, 1.0, s=v), (-1,)),
+    "functional_grid_test-t_grid": (
+        lambda v: _grid_test(np.atleast_1d(v)),
+        (0, -1, 1.5, (0.5, 0.25)),
+    ),
+    "functional_grid_test-t": (lambda v: _grid_test((1.0,), t=v), (0, -1)),
+    "functional_grid_test-mu": (lambda v: _grid_test((1.0,), mu=v), (0, -1)),
+    "functional_grid_test-sigma2": (lambda v: _grid_test((1.0,), sigma2=v), (0, -1)),
+    "simulate_cmj-horizon": (lambda v: simulate_cmj(_EXP1, v, 2, RngStream(0)), (-1,)),
+    "generation_counts-horizon": (
+        lambda v: generation_counts(_EXP1, v, 2, (1.0,), RngStream(0)),
+        (-1,),
+    ),
+    "generation_counts-fractions": (
+        lambda v: generation_counts(_EXP1, 3.0, 2, np.atleast_1d(v), RngStream(0)),
+        (-1, 1.5),
+    ),
+    # _TRAJ runs to horizon 3; an earlier time, even a negative one, counts
+    "count_generation-t": (lambda v: count_generation(_TRAJ, 1, v), (3.5,)),
+    "renewal_count_samples-t": (
+        lambda v: renewal_count_samples(_EXP1, v, 10, RngStream(0)),
+        (-1,),
+    ),
+    "renewal_function_grid-t_max": (lambda v: renewal_function_grid(_EXP1, v, 0.1), (0, -1)),
+    "renewal_function_grid-h": (lambda v: renewal_function_grid(_EXP1, 1.0, v), (0, -1)),
+    "build_renewal_table-t_max": (lambda v: build_renewal_table(_EXP1, v, 0.1, 2), (0, -1)),
+    "build_renewal_table-h": (lambda v: build_renewal_table(_EXP1, 1.0, v, 2), (0, -1)),
+    "moment_ratio-t": (lambda v: moment_ratio(_COUNTS, _EXP1, v, 2.0), (0, -1)),
+    "moment_ratio-p": (lambda v: moment_ratio(_COUNTS, _EXP1, 3.0, v), (0.5, -1)),
+    "grow_and_record-t_grid": (
+        lambda v: grow_and_record(10, np.atleast_1d(v), 2, RngStream(0)),
+        (-1, (0.5, 0.25)),
+    ),
+}
+
+# The times a renewal table reads through _check_covers, which refuses NaN
+# and times past the table (TableCoverageError) and reads 0 below 0.
+_COVERED_TIMES = {
+    "interp-t": lambda v: _TABLE.interp(1, v),
+    "integral-t": lambda v: _TABLE.integral(1, v),
+    "second_moment_rhs-t": lambda v: second_moment_rhs(_TABLE, 2, v),
+    "yk3_exact-t": lambda v: yk3_exact(_TABLE, 2, v),
+}
+
 _REFUSALS = [
-    _row("count_generation-t=nan", count_generation, _TRAJ, 1, math.nan),
-    _row("count_generation-t=inf", count_generation, _TRAJ, 1, math.inf),
-    _row("count_generation-t=-inf", count_generation, _TRAJ, 1, -math.inf),
-    _row("marginal_sd-s=nan", marginal_sd, 1, math.nan),
-    _row("marginal_sd-s=inf", marginal_sd, 1, math.inf),
-    _row("moment_ratio-t=0", moment_ratio, _COUNTS, _EXP1, 0.0, 2.0),
-    _row("moment_ratio-t=-1", moment_ratio, _COUNTS, _EXP1, -1.0, 2.0),
-    _row("moment_ratio-t=nan", moment_ratio, _COUNTS, _EXP1, math.nan, 2.0),
-    _row("moment_ratio-t=inf", moment_ratio, _COUNTS, _EXP1, math.inf, 2.0),
-    _row("moment_ratio-p=nan", moment_ratio, _COUNTS, _EXP1, 3.0, math.nan),
-    _row("moment_ratio-p=inf", moment_ratio, _COUNTS, _EXP1, 3.0, math.inf),
     _row("moment_ratio-p=400", moment_ratio, _COUNTS, _EXP1, 3.0, 400.0),
     _row("marginal_sd-k=1e6", marginal_sd, 10**6, 2.0),
     _row("normalize_cmj-k=171", normalize_cmj, _COUNTS, 2.0, 171, 1.0, 1.0),
@@ -190,16 +249,28 @@ _REFUSALS = [
     _row("uk_deviation_bound-k=200", uk_deviation_bound, _DEEP_TABLE, 200),
     _row("cov_rkl_integral-k=l=200", cov_rkl_integral, 200, 200, 10.0, 10.0),
     _row("abs_normal_moment-p=400", abs_normal_moment, 400.0, 1.0),
-    _row("interp-t=nan", _TABLE.interp, 1, math.nan),
-    _row("integral-t=nan", _TABLE.integral, 1, math.nan),
-    _row("second_moment_rhs-t=nan", second_moment_rhs, _TABLE, 2, math.nan),
-    _row("yk3_exact-t=nan", yk3_exact, _TABLE, 2, math.nan),
     _row("ks_two_sample-nan", ks_two_sample, [math.nan, 1.0, 2.0], [1.0, 2.0]),
     _row("ks_one_sample-inf", ks_one_sample, [math.inf, 1.0, 2.0], ndtr),
+    # a cdf past [0, 1] used to give a statistic of NaN, or of 2
+    _row("ks_one_sample-cdf=nan", ks_one_sample, [0.5, 1.0], lambda x: np.full_like(x, math.nan)),
+    _row("ks_one_sample-cdf=2", ks_one_sample, [0.5, 1.0], lambda x: np.full_like(x, 2.0)),
+    _row("normalize_cmj-counts=nan", normalize_cmj, [math.nan], 1.0, 1, 1.0, 1.0),
     *(
         _row(f"{name}={value}", call, value)
         for name, (call, out_of_range) in _COUNT_CALLS.items()
         for value in (*_NOT_COUNTS, *out_of_range)
+    ),
+    *(
+        _row(f"{name}={value}", call, value)
+        for name, (call, out_of_range) in _REAL_CALLS.items()
+        for value in (*_NOT_REALS, *out_of_range)
+    ),
+    *(_row(f"{name}=nan", call, math.nan) for name, call in _COVERED_TIMES.items()),
+    # this loop used to run 2**62 times
+    _row(
+        "expected_event_count-k_max=2**62",
+        expected_event_count, _EXP1, 3.0, 2**62,
+        error=CapExceededError,
     ),
     # an int64 count used to wrap these cap products: the first two ran on
     # past 20 s, the last asked for 32 GiB
@@ -232,11 +303,17 @@ _COUNT_NAMES = {
     "k", "l", "k_max", "n", "n_plus_1", "n_batch", "n_base", "n_samples",
     "n_reps", "seed", "workers", "master_seed", "stream_id", "parts",
 }
+# the parameter names that hold a real scalar (a time, power or moment) or
+# a grid of them anywhere in the public API
+_REAL_NAMES = {
+    "s", "u", "t", "horizon", "mu", "sigma2", "p", "h", "t_max", "t_grid", "fractions",
+}
 
 
-def test_every_count_parameter_has_refusal_rows():
+def _parameters(names, extra):
+    """"<callable>-<parameter>" for each parameter in names of a public callable or of extra."""
     # a dataclass holds values and checks none (the call that reads a field
-    # gates it), and the exception types take no counts
+    # gates it), and the exception types take no arguments to gate
     public = [
         obj
         for obj in map(partial(getattr, branchlab), branchlab.__all__)
@@ -244,16 +321,56 @@ def test_every_count_parameter_has_refusal_rows():
         and not dataclasses.is_dataclass(obj)
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     ]
-    extra = [RenewalTable.interp, RenewalTable.integral, uk_deviation_bound, expected_event_count]
-    counts = {
+    return {
         f"{fn.__name__}-{param}"
         for fn in public + extra
         for param in inspect.signature(fn).parameters
-        if param in _COUNT_NAMES
+        if param in names
     }
+
+
+def test_every_count_parameter_has_refusal_rows():
+    extra = [RenewalTable.interp, RenewalTable.integral, uk_deviation_bound, expected_event_count]
+    counts = _parameters(_COUNT_NAMES, extra)
     assert len(counts) >= 30
     # a count without rows, or rows naming no count, fails here
     assert sorted(counts ^ _COUNT_CALLS.keys()) == []
+
+
+def test_every_real_parameter_has_refusal_rows():
+    reals = _parameters(_REAL_NAMES, [RenewalTable.interp, RenewalTable.integral])
+    assert len(reals) >= 30
+    # a real or grid without rows, or rows naming none, fails here
+    assert sorted(reals ^ (_REAL_CALLS.keys() | _COVERED_TIMES.keys())) == []
+
+
+def test_real_and_grid_hold_at_their_bounds():
+    assert real(0, "x", 0) == 0.0 and type(real(np.int64(3), "x")) is float
+    assert real(np.array(2.5), "x", 0, 2.5) == 2.5  # a 0-d array, at a closed top
+    assert real(5e-324, "x", 0, above=True) == 5e-324
+    assert real(2**63, "x") == 2.0**63  # numpy holds it as uint64
+    with pytest.raises(ValueError, match="x must be positive"):
+        real(0.0, "x", 0, above=True)
+    past = (math.nextafter(1.0, 2.0), "x", 0, 1), (-5e-324, "x", 0)
+    for bad in (math.nan, math.inf, -math.inf, True, np.True_, "1", [1.0], np.ones(1), None, 1j):
+        past += ((bad, "x"),)
+    for args in (*past, (2**64, "x")):
+        with pytest.raises(ValueError, match="x must"):
+            real(*args)
+
+    out = grid([0, 0.5, 1], "g", 0, 1, increasing=True)
+    assert out.dtype == np.float64 and out.tolist() == [0.0, 0.5, 1.0]
+    assert grid((1.0, 0.5), "g", 0, 1).tolist() == [1.0, 0.5]  # any order unless increasing
+    assert grid([5e-324], "g", 0, 1, above=True).tolist() == [5e-324]
+    past = ([0.5, 1.5], [-5e-324], [0.5, math.nan], [0.5, math.inf])
+    for values in ([], 0.5, [[0.5]], [True], ["0.5"], [None], *past):
+        with pytest.raises(ValueError, match="g "):
+            grid(values, "g", 0, 1)
+    with pytest.raises(ValueError, match=r"g entries must be finite and in \(0, 1\]"):
+        grid([0.0, 0.5], "g", 0, 1, above=True)
+    for values in ([0.5, 0.5], [0.5, 0.25]):
+        with pytest.raises(ValueError, match="g must be strictly increasing"):
+            grid(values, "g", 0, 1, increasing=True)
 
 
 def test_counter_attributes_exist():

@@ -43,12 +43,9 @@ from .verify import VerifyConfig, verify_suite
 
 def _parse_grid(text: str) -> tuple:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise ValueError(f"could not parse grid {text!r}") from None
-    if not values:
-        raise ValueError("grid must contain at least one value")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
